@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="rng seed (sampled scope)")
     p_verify.add_argument("--mu0", default="cyclic", help="initial derangement (cettc)")
     p_verify.add_argument("--order", default=None, help="fixed division order (sd)")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="worker processes for ce/cee/eap/pareto sweeps")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

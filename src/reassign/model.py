@@ -385,6 +385,17 @@ def problem_to_dict(problem: Problem) -> dict:
     return d
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; bools are ints to Python but not to JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_array(value, what) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
+        raise MalformedProblem(f"{what} must be an array of integers")
+    return tuple(value)
+
+
 def problem_from_dict(data) -> Problem:
     """Build a Problem from its dict form.
 
@@ -402,15 +413,14 @@ def problem_from_dict(data) -> Problem:
     if not isinstance(prefs, list) or not all(isinstance(r, list) for r in prefs):
         raise MalformedProblem("'preferences' must be an array of arrays")
     n = data.get("n", len(prefs))
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise MalformedProblem("'n' must be a positive integer")
     for row in prefs:
-        if not all(isinstance(w, int) and not isinstance(w, bool) for w in row):
+        if not all(map(_is_int, row)):
             raise MalformedProblem("preference rows must contain integers")
     profile = complete_partial_profile(prefs, n)
-    priority = data.get("priority") or tuple(range(1, n + 1))
-    if not isinstance(priority, (list, tuple)):
-        raise MalformedProblem("'priority' must be an array")
+    priority = data.get("priority")
+    priority = () if priority is None else _int_array(priority, "'priority'")
     partition = None
     if data.get("partition") is not None:
         raw = data["partition"]
@@ -422,14 +432,21 @@ def problem_from_dict(data) -> Problem:
                 raise MalformedProblem(
                     "each partition group needs exactly 'divisions' and 'workers'"
                 )
-            groups.append((tuple(g["divisions"]), tuple(g["workers"])))
+            groups.append(
+                (
+                    _int_array(g["divisions"], "partition 'divisions'"),
+                    _int_array(g["workers"], "partition 'workers'"),
+                )
+            )
         partition = AssignmentPartition(tuple(groups))
     names = data.get("names")
-    if names is not None and not isinstance(names, list):
+    if names is not None and (
+        not isinstance(names, list) or not all(isinstance(s, str) for s in names)
+    ):
         raise MalformedProblem("'names' must be an array of strings")
     return Problem(
         profile=profile,
-        priority=tuple(priority),
+        priority=priority,
         partition=partition,
         names=tuple(names) if names is not None else None,
     )

@@ -7,21 +7,39 @@ own-position invariance for any mechanism, either exhaustively over a profile
 space or on seeded samples.
 
 Mechanisms that never read where a division ranks its own worker (the
-partition mechanisms and the draft) are swept over the reduced space of
-orders over the other workers, own worker appended last; own-position
-invariance is what makes that equivalent to the full space, and is itself
-checked exhaustively by check_own_position_invariance.  Mechanisms that do
-read own positions (sd, ttc, bttc) are swept over full orders.
+partition mechanisms, the draft and the serial dictatorship sd) are swept over
+the reduced space of orders over the other workers, own worker appended last;
+own-position invariance is what makes that equivalent to the full space, and
+is itself checked exhaustively by check_own_position_invariance.  Mechanisms
+that do read own positions (ttc, bttc) are swept over full orders.
 
-Exhaustive sweeps precompute one outcome per profile and then resolve
-deviations and improvements as O(1) table lookups, so the n = 4 sweeps touch
-tens of millions of profile pairs in seconds.  Reports are deterministic:
-witnesses are minimal in enumeration order regardless of --jobs.
+Each exhaustive check does only the work its verdict reads:
+
+* a probe first runs the pairwise scan over the first ``radix`` base
+  profiles, computing outcomes as they are looked up, so a violation near
+  the start of the space is found without building a table;
+* sp then builds a byte table of outcome codes and applies the taxation
+  principle: with the other divisions' reports fixed, every report of a
+  division must receive the top of that division's menu, the workers its
+  reports can reach;
+* ri builds the same table and tries single adjacent raises only: every
+  improvement is a chain of them that leaves the subject's own order alone,
+  so the subject loses by some improvement iff it loses by one step;
+* ce, cee, eap and pareto build no table: they run the mechanism profile by
+  profile and stop at the first failure, and ``jobs`` splits that stream.
+
+A failure found by a fast scan is replayed through the pairwise scan up to
+its base profile, so reports (verdict, checked, comparisons, witness) are
+those of the pairwise scans, deterministic and minimal in enumeration order
+regardless of --jobs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import multiprocessing as mp
+import operator
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -454,13 +472,123 @@ def _make_runner(mechanism, n, partition=None, priority=None) -> _Runner:
 
 
 def _outcome_table(runner: _Runner, space: _ProfileSpace):
-    perms, code = _perm_codes(space.n)
-    table = [0] * space.size
-    idx = 0
-    for combo in itertools.product(*space.orders):
-        table[idx] = code[runner(combo)]
-        idx += 1
-    return table
+    """Outcome of every profile as a permutation code, one byte each (there
+    are fewer than 256 codes for n <= 5)."""
+    _, code = _perm_codes(space.n)
+    return bytearray(map(code.__getitem__, map(runner, itertools.product(*space.orders))))
+
+
+class _ProbeTable(dict):
+    """Outcome codes computed when first looked up, for the early-exit probe:
+    it reads a few profiles and must not pay for a whole table."""
+
+    def __init__(self, runner: _Runner, space: _ProfileSpace):
+        super().__init__()
+        self.runner = runner
+        self.space = space
+        self.code = _perm_codes(space.n)[1]
+
+    def __missing__(self, idx):
+        c = self[idx] = self.code[self.runner(self.space.profile_at(idx))]
+        return c
+
+
+def _code_map(perms, f):
+    """Byte translation table taking each permutation code c to f(perms[c])."""
+    return bytes(map(f, perms)).ljust(256, b"\0")
+
+
+def _digit_runs(space: _ProfileSpace, j: int, d: int):
+    """(start, step, count) runs that together cover the profiles whose
+    division j+1 reports its order number d, as few runs as possible."""
+    p = space.pows[j]
+    block = p * space.radix
+    blocks = space.size // block
+    if blocks <= p:
+        return [(b * block + d * p, 1, p) for b in range(blocks)]
+    return [(d * p + lo, block, blocks) for lo in range(p)]
+
+
+def _sp_menu_scan(space: _ProfileSpace, table) -> int | None:
+    """Smallest base profile at which a division could gain by misreporting,
+    or None.
+
+    With the other divisions' digits fixed (a stem), a division's menu is the
+    set of workers it receives over all its reports.  It cannot gain by a
+    misreport iff each report receives the top of the menu under that report
+    (the taxation principle), so one bytes comparison per stem settles every
+    misreport of that division.
+    """
+    perms, _ = _perm_codes(space.n)
+    radix, size = space.radix, space.size
+    best = size
+    for j in range(space.n):
+        p = space.pows[j]
+        block = p * radix
+        received = table.translate(_code_map(perms, operator.itemgetter(j)))
+        ranks = space.rank_maps[j]
+        tops = {}  # menu -> top worker under each report, as bytes
+        for stem in (b + lo for b in range(0, size, block) for lo in range(p)):
+            if stem >= best:
+                break
+            col = received[stem : stem + block : p]
+            menu = frozenset(col)
+            top = tops.get(menu)
+            if top is None:
+                top = tops[menu] = bytes(min(menu, key=rk.__getitem__) for rk in ranks)
+            if col != top:
+                digit = next(a for a in range(radix) if col[a] != top[a])
+                best = min(best, stem + digit * p)
+    return best if best < size else None
+
+
+def _adjacent_raise(order, w):
+    """``order`` with worker w swapped with the worker just above it, or None
+    when w is first.  An own worker ranked last stays last."""
+    pos = order.index(w)
+    if pos == 0:
+        return None
+    return order[: pos - 1] + (w, order[pos - 1]) + order[pos + 1 :]
+
+
+def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
+    """Smallest base profile at which one adjacent raise of some worker i in
+    another division's order leaves division i strictly worse off, or None.
+
+    Every improvement for i is a chain of adjacent raises that never touches
+    i's own order, so along the chain i's rank telescopes: i loses by some
+    improvement iff it loses by a single step.  The smallest step base can
+    come after the smallest pairwise base; callers rescan up to it.
+    """
+    perms, _ = _perm_codes(space.n)
+    n, size = space.n, space.size
+    best = size
+    for i in range(n):
+        # rank, in division i+1's own order, of the worker it receives
+        rank = bytearray(size)
+        for d, rk in enumerate(space.rank_maps[i]):
+            trans = _code_map(perms, lambda m, rk=rk: rk[m[i]])
+            for start, step, count in _digit_runs(space, i, d):
+                sl = slice(start, start + step * count, step)
+                rank[sl] = table[sl].translate(trans)
+        for j in range(n):
+            if j == i:
+                continue
+            for d, order in enumerate(space.orders[j]):
+                up = _adjacent_raise(order, i + 1)
+                if up is None:
+                    continue
+                delta = (space.order_index[j][up] - d) * space.pows[j]
+                for start, step, count in _digit_runs(space, j, d):
+                    if start >= best:
+                        break
+                    stop = start + step * count
+                    here = rank[start:stop:step]
+                    there = rank[start + delta : stop + delta : step]
+                    if any(map(operator.lt, here, there)):
+                        k = next(k for k, (a, b) in enumerate(zip(here, there)) if a < b)
+                        best = min(best, start + k * step)
+    return best if best < size else None
 
 
 # -- exhaustive sweep internals ----------------------------------------------
@@ -511,7 +639,7 @@ def _ri_scan(lo, hi):
     subject.  Returns (profiles_scanned, comparisons, violation or None)."""
     space = _SWEEP["space"]
     table = _SWEEP["table"]
-    raises = _SWEEP["raises"]  # raises[i-1][j][digit] = [(delta, alt_digit)...]
+    raises = _SWEEP["raises"]  # see _pairwise_raises
     perms, _ = _perm_codes(space.n)
     n = space.n
     rank_maps = space.rank_maps
@@ -540,23 +668,19 @@ def _ri_scan(lo, hi):
 
 
 def _outcome_scan(lo, hi):
-    """Scan outcomes in [lo, hi) against a per-profile predicate."""
+    """Run the mechanism on each profile in [lo, hi), in enumeration order,
+    and test its outcome against a per-profile predicate; stops at the first
+    failure.  Returns (profiles_checked, None, (index, outcome) or None)."""
     space = _SWEEP["space"]
-    table = _SWEEP["table"]
+    runner = _SWEEP["runner"]
     kind = _SWEEP["outcome_kind"]
     partition = _SWEEP.get("partition")
-    perms, _ = _perm_codes(space.n)
-    n = space.n
-    checked = 0
-    for idx in range(lo, hi):
-        checked += 1
-        out = perms[table[idx]]
+    profiles = itertools.islice(itertools.product(*space.orders), lo, hi)
+    for idx, orders in enumerate(profiles, lo):
+        out = runner(orders)
         if kind == "ce":
-            if any(w == i for i, w in enumerate(out, start=1)):
-                return checked, None, (idx, out)
-            continue
-        orders = space.profile_at(idx)
-        if kind == "cee":
+            ok = all(w != i for i, w in enumerate(out, start=1))
+        elif kind == "cee":
             ok = all(w != i for i, w in enumerate(out, start=1)) and is_ce_efficient(
                 orders, out
             )
@@ -565,8 +689,8 @@ def _outcome_scan(lo, hi):
         else:  # pareto
             ok = pareto_efficient(orders, out)
         if not ok:
-            return checked, None, (idx, out)
-    return checked, None, None
+            return idx - lo + 1, None, (idx, out)
+    return hi - lo, None, None
 
 
 def _run_ranged(scan, size, jobs):
@@ -576,11 +700,11 @@ def _run_ranged(scan, size, jobs):
     disjoint and each chunk stops at its first hit), so reports are identical
     for any job count.  Aggregate counts are meaningful only when no
     violation is found; callers report the witness position otherwise.
+    Where the ``fork`` start method is unavailable the scan runs serially:
+    workers read the sweep state they inherit at fork.
     """
-    if jobs <= 1:
+    if jobs <= 1 or "fork" not in mp.get_all_start_methods():
         return scan(0, size)
-    import multiprocessing as mp
-
     step = max(1, -(-size // (jobs * 8)))
     chunks = []
     lo = 0
@@ -637,7 +761,10 @@ def _scope_or_default(scope, n):
 
 
 def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """No division can gain by misreporting its order, all else fixed."""
+    """No division can gain by misreporting its order, all else fixed.
+
+    The exhaustive sweep runs in this process whatever ``jobs`` is: its table
+    build is serial and its menu scan is far cheaper than a fork."""
     t0 = time.perf_counter()
     mid = as_mechanism_id(mechanism)
     scope = _scope_or_default(scope, n)
@@ -665,10 +792,15 @@ def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
     space = _space(n, reduced)
     _SWEEP.clear()
     _SWEEP["space"] = space
-    _SWEEP["table"] = _outcome_table(runner, space)
-    checked, comparisons, vio = _run_ranged(_sp_scan, space.size, jobs)
+    _SWEEP["table"] = _ProbeTable(runner, space)
+    _, _, vio = _sp_scan(0, space.radix)
     if vio is None:
-        return _finish("sp", runner, scope, True, space.size, comparisons, None, t0)
+        table = _SWEEP["table"] = _outcome_table(runner, space)
+        first = _sp_menu_scan(space, table)
+        if first is None:
+            comparisons = space.size * n * (space.radix - 1)
+            return _finish("sp", runner, scope, True, space.size, comparisons, None, t0)
+        _, _, vio = _sp_scan(first, first + 1)
     idx, i, alt = vio
     orders = space.profile_at(idx)
     lie = space.orders[i - 1][alt]
@@ -693,7 +825,10 @@ def _sp_witness(runner, orders, i, lie, out, out2):
 
 
 def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """A division never loses when other divisions rank its worker higher."""
+    """A division never loses when other divisions rank its worker higher.
+
+    As for check_sp, the exhaustive sweep runs in this process whatever
+    ``jobs`` is."""
     t0 = time.perf_counter()
     mid = as_mechanism_id(mechanism)
     scope = _scope_or_default(scope, n)
@@ -727,12 +862,40 @@ def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
 
     _require_exhaustive_bound(n)
     space = _space(n, reduced)
-    # raises[i-1][j][digit]: index deltas that weakly raise worker i in
-    # division j+1's order, identity excluded.
+    raises = _pairwise_raises(space)
+    _SWEEP.clear()
+    _SWEEP["space"] = space
+    _SWEEP["table"] = _ProbeTable(runner, space)
+    _SWEEP["raises"] = raises
+    _, _, vio = _ri_scan(0, space.radix)
+    if vio is None:
+        table = _SWEEP["table"] = _outcome_table(runner, space)
+        first = _ri_step_scan(space, table)
+        if first is None:
+            # what the pairwise scan compares: every combination of raises
+            # per (base, subject), the identity excluded
+            comparisons = sum(
+                math.prod(sum(1 + len(r) for r in col) for col in per_div)
+                for per_div in raises
+            ) - n * space.size
+            return _finish("ri", runner, scope, True, space.size, comparisons, None, t0)
+        _, _, vio = _ri_scan(space.radix, first + 1)
+    idx, i, idx2 = vio
+    orders = space.profile_at(idx)
+    improved = space.profile_at(idx2)
+    out = runner(orders)
+    out2 = runner(improved)
+    wit = _ri_witness(runner, orders, improved, i, out, out2)
+    return _finish("ri", runner, scope, False, idx + 1, None, wit, t0)
+
+
+def _pairwise_raises(space: _ProfileSpace):
+    """raises[i-1][j][digit]: index deltas that weakly raise worker i in
+    division j+1's order, identity excluded."""
     raises = []
-    for i in range(1, n + 1):
+    for i in range(1, space.n + 1):
         per_div = []
-        for j in range(n):
+        for j in range(space.n):
             col = []
             for digit, order in enumerate(space.orders[j]):
                 if j == i - 1:
@@ -746,20 +909,7 @@ def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
                 col.append(tuple(deltas))
             per_div.append(col)
         raises.append(per_div)
-    _SWEEP.clear()
-    _SWEEP["space"] = space
-    _SWEEP["table"] = _outcome_table(runner, space)
-    _SWEEP["raises"] = raises
-    checked, comparisons, vio = _run_ranged(_ri_scan, space.size, jobs)
-    if vio is None:
-        return _finish("ri", runner, scope, True, space.size, comparisons, None, t0)
-    idx, i, idx2 = vio
-    orders = space.profile_at(idx)
-    improved = space.profile_at(idx2)
-    out = runner(orders)
-    out2 = runner(improved)
-    wit = _ri_witness(runner, orders, improved, i, out, out2)
-    return _finish("ri", runner, scope, False, idx + 1, None, wit, t0)
+    return raises
 
 
 def _raised_orders_reduced(order, i, reduced):
@@ -837,10 +987,12 @@ def _check_outcomes(prop, mechanism, n, scope, partition, priority, jobs):
     space = _space(n, reduced)
     _SWEEP.clear()
     _SWEEP["space"] = space
-    _SWEEP["table"] = _outcome_table(runner, space)
+    _SWEEP["runner"] = runner
     _SWEEP["outcome_kind"] = prop
     _SWEEP["partition"] = partition
-    checked, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
+    _, _, vio = _outcome_scan(0, space.radix)
+    if vio is None:
+        _, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
     if vio is None:
         return _finish(prop, runner, scope, True, space.size, None, None, t0)
     idx, out = vio

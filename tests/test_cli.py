@@ -141,6 +141,47 @@ def test_run_rejects_malformed_problem(capsys, tmp_path):
     assert code == 2
 
 
+N4_ROWS = [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]
+
+
+def n4_partition(first, second=(3, 4)):
+    return [
+        {"divisions": first, "workers": [3, 4]},
+        {"divisions": list(second), "workers": [1, 2]},
+    ]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"n": True, "preferences": [[1]]},
+        {"n": 2, "preferences": [[2, 1], [1, 2]], "priority": [2.0, 1]},
+        {"n": 2, "preferences": [[2, 1], [1, 2]], "priority": [True, 2]},
+        {"n": 2, "preferences": [[2, 1], [1, 2]], "priority": False},
+        {"n": 2, "preferences": [[2, 1], [1, 2]], "names": [1, 2]},
+        {"n": 4, "preferences": N4_ROWS, "partition": n4_partition([1, "a"])},
+        {"n": 4, "preferences": N4_ROWS, "partition": n4_partition(1)},
+        {"n": 4, "preferences": N4_ROWS, "partition": n4_partition(["1", "2"], ["3", "4"])},
+    ],
+    ids=[
+        "bool-n",
+        "float-priority",
+        "bool-priority",
+        "false-priority",
+        "number-names",
+        "mixed-divisions",
+        "scalar-divisions",
+        "string-divisions",
+    ],
+)
+def test_run_rejects_mistyped_fields(capsys, tmp_path, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(capsys, "run", str(path), "--mechanism", "csd")
+    assert code == 2
+    assert "must be" in err and not out
+
+
 # -- verify ---------------------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import itertools
+import multiprocessing
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reassign import verifier
 from reassign.model import (
     EnumerationBoundExceeded,
     MalformedProblem,
@@ -24,6 +26,7 @@ from reassign.verifier import (
     check_cee,
     check_eap,
     check_own_position_invariance,
+    check_pareto,
     check_ri,
     check_sp,
     derangements,
@@ -337,3 +340,137 @@ def test_selection_scan_bound_and_alias():
     assert universal_impossibility_scan is scan_ce_efficient_selections
     with pytest.raises(EnumerationBoundExceeded):
         scan_ce_efficient_selections(4)
+
+
+# -- fast scans against their slow twins ----------------------------------------------
+
+ALL_TAGS = ("csd", "tsd", "cettc", "npb", "sd", "ttc", "bttc")
+
+
+def sweep_of(mechanism, n):
+    mid = verifier.as_mechanism_id(mechanism)
+    runner = verifier._make_runner(mid, n)
+    space = verifier._space(n, verifier.uses_reduced_space(mid))
+    return runner, space, verifier._outcome_table(runner, space)
+
+
+def pairwise_scan(prop, space, table, lo=0, hi=None):
+    """The pairwise sp or ri scan over a fully built table."""
+    verifier._SWEEP.clear()
+    verifier._SWEEP.update(space=space, table=table, raises=verifier._pairwise_raises(space))
+    scan = verifier._sp_scan if prop == "sp" else verifier._ri_scan
+    return scan(lo, space.size if hi is None else hi)
+
+
+def pairwise_report(prop, mechanism, n):
+    """(verdict, checked, comparisons, witness) as the pairwise scan finds them."""
+    runner, space, table = sweep_of(mechanism, n)
+    _, comparisons, vio = pairwise_scan(prop, space, table)
+    if vio is None:
+        return "holds", space.size, comparisons, None
+    idx, i, other = vio
+    orders = space.profile_at(idx)
+    out = runner(orders)
+    if prop == "sp":
+        lie = space.orders[i - 1][other]
+        out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
+        wit = verifier._sp_witness(runner, orders, i, lie, out, out2)
+    else:
+        improved = space.profile_at(other)
+        wit = verifier._ri_witness(runner, orders, improved, i, out, runner(improved))
+    return "fails", idx + 1, None, wit
+
+
+def report_fields(report):
+    return report.verdict, report.checked, report.comparisons, report.witness
+
+
+@pytest.mark.parametrize(
+    "tag,n", [(tag, 3) for tag in ALL_TAGS] + [(tag, 4) for tag in REDUCED]
+)
+@pytest.mark.parametrize("prop", ["sp", "ri"])
+def test_fast_scans_match_pairwise_scans(prop, tag, n):
+    check = check_sp if prop == "sp" else check_ri
+    assert report_fields(check(tag, n)) == pairwise_report(prop, tag, n)
+
+
+@pytest.mark.parametrize(
+    "prop,tag,pairwise_base,fast_base",
+    [("sp", "npb", 72, 72), ("ri", "npb", 72, 80), ("ri", "cettc", 147, 183)],
+)
+def test_witness_precedes_first_fast_hit(prop, tag, pairwise_base, fast_base):
+    # single raises can first fail after a longer improvement does; the
+    # report must still carry the pairwise scan's minimal witness
+    _, space, table = sweep_of(tag, 4)
+    fast = verifier._sp_menu_scan if prop == "sp" else verifier._ri_step_scan
+    assert fast(space, table) == fast_base
+    check = check_sp if prop == "sp" else check_ri
+    report = check(tag, 4)
+    assert report.checked == pairwise_base + 1
+    assert report_fields(report) == pairwise_report(prop, tag, 4)
+    assert revalidate_witness(report.witness)
+
+
+@pytest.mark.parametrize("tag,n", [("ttc", 3), ("csd", 4)])
+def test_fast_scans_match_pairwise_on_perturbed_tables(tag, n):
+    # flip a few outcomes of a mechanism that holds both properties, so
+    # violations land anywhere in the space, not just near its start
+    _, space, table = sweep_of(tag, n)
+    codes = len(verifier._perm_codes(n)[0])
+    rng = random.Random(11)
+    for _ in range(60):
+        bent = bytearray(table)
+        for _ in range(rng.randrange(1, 4)):
+            bent[rng.randrange(space.size)] = rng.randrange(codes)
+        vio = pairwise_scan("sp", space, bent)[2]
+        assert verifier._sp_menu_scan(space, bent) == (None if vio is None else vio[0])
+
+        vio = pairwise_scan("ri", space, bent)[2]
+        step = verifier._ri_step_scan(space, bent)
+        assert (vio is None) == (step is None)
+        if step is not None:
+            assert vio[0] <= step
+            assert pairwise_scan("ri", space, bent, step, step + 1)[2] is not None
+
+
+def streamed_reference(prop, mechanism, n):
+    """(checked, problem, outcome) of the first failing profile, read from a
+    fully built table, or (size, None, None)."""
+    runner, space, table = sweep_of(mechanism, n)
+    perms = verifier._perm_codes(n)[0]
+    for idx in range(space.size):
+        orders, out = space.profile_at(idx), perms[table[idx]]
+        if prop == "ce":
+            ok = all(w != i for i, w in enumerate(out, 1))
+        else:
+            ok = pareto_efficient(orders, out)
+        if not ok:
+            return idx + 1, [list(o) for o in orders], list(out)
+    return space.size, None, None
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("prop,tag", [("ce", "bttc"), ("pareto", "ttc"), ("pareto", "bttc")])
+def test_streamed_outcome_checks_match_table(prop, tag, jobs):
+    report = (check_ce if prop == "ce" else check_pareto)(tag, 3, jobs=jobs)
+    checked, prefs, outcome = streamed_reference(prop, tag, 3)
+    assert report.checked == checked
+    assert report.holds == (prefs is None)
+    if prefs is not None:
+        assert report.witness["problem"]["preferences"] == prefs
+        assert report.witness["outcome"] == outcome
+        assert revalidate_witness(report.witness)
+
+
+def test_fanout_without_fork_runs_serially(monkeypatch):
+    forked = check_pareto("bttc", 3, jobs=2).to_dict()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
+    serial = check_pareto("bttc", 3, jobs=2).to_dict()
+    forked.pop("elapsed_s")
+    serial.pop("elapsed_s")
+    assert serial == forked
