@@ -53,8 +53,7 @@ def main() -> int:
         scope = None
         if args.scope == "sampled":
             scope = Scope("sampled", n, count=args.count, seed=args.seed)
-        kwargs = {} if prop == "own-position" else {"jobs": args.jobs}
-        report = CHECKS[prop](tag, n, scope, **kwargs)
+        report = CHECKS[prop](tag, n, scope, jobs=args.jobs)
         results.append(report)
         if args.format == "text":
             print(

@@ -17,39 +17,19 @@ from .model import (
     MalformedProblem,
     MechanismId,
     Problem,
-    is_derangement,
     problem_from_dict,
     problem_to_dict,
 )
-from .mechanisms import (
-    MECHANISM_TAGS,
-    effective_partition,
-    run_bttc,
-    run_cettc,
-    run_csd,
-    run_npb,
-    run_sd_within_groups,
-    run_tsd,
-    run_ttc,
-)
+from .mechanisms import MECHANISM_TAGS, MECHANISMS, effective_partition, run_traced
 from .partition import blocks_from_sizes, largest_first_construct
 from .repro import REPRO_IDS, all_repro_reports, run_repro
-from .verifier import (
-    CHECKS,
-    Scope,
-    cee_set,
-    eap_efficient,
-    is_ce_efficient,
-    pareto_efficient,
-)
+from .verifier import CHECKS, ORACLES, Scope
 
 EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BOUND = 4
-
-_CERTIFICATIONS = ("ce", "cee", "eap", "pareto")
 
 
 # -- problem file handling -----------------------------------------------------
@@ -93,6 +73,17 @@ def _parse_mu0(text: str):
     return _parse_ints(text, "--mu0"), None
 
 
+def _mechanism_id(args, seed=None) -> MechanismId:
+    """The mechanism the command names, with only the options it reads
+    (``--mu0`` and its seed for cettc, ``--order`` for sd); every option is
+    parsed whichever mechanism is named.  ``seed`` overrides a ``seed:K``."""
+    mu0, mu0_seed = _parse_mu0(args.mu0)
+    order = _parse_ints(args.order, "--order") if args.order else None
+    given = {"mu0": mu0, "seed": mu0_seed if seed is None else seed, "order": order}
+    options = MECHANISMS[args.mechanism].options
+    return MechanismId(args.mechanism, **{k: given[k] for k in options})
+
+
 def _tool_dict():
     return {"name": "reassign", "version": __version__}
 
@@ -107,50 +98,15 @@ def _emit(args, payload: dict, text: str) -> None:
 # -- run -------------------------------------------------------------------------
 
 
-def _run_with_trace(problem: Problem, tag: str, mu0, seed, order):
-    if tag == "csd":
-        return run_csd(problem)
-    if tag == "tsd":
-        return run_tsd(problem)
-    if tag == "cettc":
-        return run_cettc(problem, mu0 or "cyclic", seed)
-    if tag == "bttc":
-        return run_bttc(problem)
-    if tag == "ttc":
-        return run_ttc(problem), None
-    if tag == "npb":
-        return run_npb(problem)
-    if tag == "sd":
-        seq = order or problem.priority
-        return run_sd_within_groups(problem, seq), None
-    raise MalformedProblem(f"unknown mechanism {tag!r}")
-
-
 def _certify(name: str, problem: Problem, assignment: Assignment) -> bool:
-    if name == "ce":
-        return is_derangement(assignment.mapping)
-    if name == "cee":
-        return is_ce_efficient(problem.profile, assignment)
-    if name == "eap":
-        return eap_efficient(problem.profile, effective_partition(problem), assignment)
-    if name == "pareto":
-        return pareto_efficient(problem.profile, assignment)
-    raise MalformedProblem(f"unknown certification {name!r}")
+    partition = effective_partition(problem) if name == "eap" else None
+    return ORACLES[name](problem.profile, assignment.mapping, partition)
 
 
 def cmd_run(args) -> int:
     problem = load_problem(args.problem)
-    mu0, mu0_seed = _parse_mu0(args.mu0)
-    seed = args.seed if args.seed is not None else mu0_seed
-    order = _parse_ints(args.order, "--order") if args.order else None
-
-    assignment, trace = _run_with_trace(problem, args.mechanism, mu0, seed, order)
-    mid = MechanismId(
-        args.mechanism,
-        mu0=mu0 if args.mechanism == "cettc" else None,
-        order=order,
-        seed=seed if args.mechanism == "cettc" else None,
-    )
+    mid = _mechanism_id(args, args.seed)
+    assignment, trace = run_traced(mid, problem)
 
     certs = {}
     for name in args.certify or ():
@@ -219,25 +175,11 @@ def cmd_verify(args) -> int:
         raise MalformedProblem(
             f"unknown property {args.property!r}; pick from {', '.join(sorted(CHECKS))}"
         )
-    mu0, mu0_seed = _parse_mu0(args.mu0)
-    seed = mu0_seed
-    order = _parse_ints(args.order, "--order") if args.order else None
-    mid = MechanismId(
-        args.mechanism,
-        mu0=mu0 if args.mechanism == "cettc" else None,
-        order=order,
-        seed=seed,
-    )
-
+    mid = _mechanism_id(args)
     scope = None
     if args.scope == "sampled":
         scope = Scope("sampled", args.n, count=args.count, seed=args.sample_seed)
-
-    check = CHECKS[args.property]
-    kwargs = {}
-    if args.property != "own-position":
-        kwargs["jobs"] = args.jobs
-    report = check(mid, args.n, scope, **kwargs)
+    report = CHECKS[args.property](mid, args.n, scope, jobs=args.jobs)
 
     payload = {"tool": _tool_dict(), **report.to_dict()}
     lines = [
@@ -271,10 +213,7 @@ def cmd_partition(args) -> int:
     partition = largest_first_construct(groups)
     payload = {
         "tool": _tool_dict(),
-        "groups": [
-            {"divisions": list(g.divisions), "workers": list(g.workers)}
-            for g in partition.groups
-        ],
+        "groups": partition.to_list(),
     }
     lines = ["partition:"]
     for g in partition.groups:
@@ -322,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="seed for --mu0 random")
     p_run.add_argument("--order", default=None,
                        help="fixed division order for sd (default: priority)")
-    p_run.add_argument("--certify", action="append", choices=_CERTIFICATIONS,
+    p_run.add_argument("--certify", action="append", choices=tuple(ORACLES),
                        help="certify a property of the output (repeatable)")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.set_defaults(func=cmd_run)
@@ -338,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mu0", default="cyclic", help="initial derangement (cettc)")
     p_verify.add_argument("--order", default=None, help="fixed division order (sd)")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for ce/cee/eap/pareto sweeps")
+                          help="worker processes for ce/cee/eap/pareto/own-position sweeps")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

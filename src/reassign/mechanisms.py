@@ -9,13 +9,24 @@ without a partition via its endgame rule; the backward top-trading variant
 deliberately does not (divisions may keep their own worker).
 
 Cores are plain functions over order tuples so that exhaustive sweeps can
-skip dataclass construction; public ``run_*`` wrappers take a Problem and
-return (Assignment, Trace) or Assignment.
+skip dataclass construction.  Each takes its bound arguments first and the
+orders last, and returns (mapping, steps): steps are (t, chooser, worker,
+kind) tuples, or None for a mechanism that keeps no trace.
+
+The ``MECHANISMS`` registry, keyed by tag, is the one place that knows each
+mechanism: how to bind its core to everything but the orders, whether it
+needs a partition, and whether it ignores where a division ranks its own
+worker.  ``run_traced`` and ``run_mechanism`` run any tag from it; the
+public ``run_*`` wrappers take a Problem and return (Assignment, Trace) or
+Assignment.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .model import (
     Assignment,
@@ -28,8 +39,6 @@ from .model import (
     TraceStep,
 )
 from .partition import canonical_partition
-
-MECHANISM_TAGS = ("csd", "tsd", "cettc", "bttc", "ttc", "npb", "sd")
 
 
 def effective_partition(problem: Problem):
@@ -59,7 +68,7 @@ def _first_available(order, available):
 # -- serial dictatorships ---------------------------------------------------
 
 
-def _sd_groups_core(orders, order, group_of, pools):
+def _sd_groups_core(order, group_of, pools, orders):
     n = len(orders)
     taken = set()
     mapping = [0] * n
@@ -68,7 +77,7 @@ def _sd_groups_core(orders, order, group_of, pools):
         w = _first_available(orders[i - 1], set(pool) - taken)
         mapping[i - 1] = w
         taken.add(w)
-    return tuple(mapping)
+    return tuple(mapping), None
 
 
 def run_sd_within_groups(problem: Problem, order) -> Assignment:
@@ -77,16 +86,14 @@ def run_sd_within_groups(problem: Problem, order) -> Assignment:
     ``order`` is a FinalOrder or a sequence of divisions.  Outcomes depend
     only on the order restricted to each group, not on the interleaving.
     """
-    partition = effective_partition(problem)
     seq = order.global_order if isinstance(order, FinalOrder) else tuple(order)
-    group_of, pools = _group_tables(partition)
-    return Assignment(_sd_groups_core(problem.profile.orders, seq, group_of, pools))
+    return run_traced(MechanismId("sd", order=seq), problem)[0]
 
 
 # -- chain dictatorship (single stage) --------------------------------------
 
 
-def _csd_core(orders, priority, group_of, pools):
+def _csd_core(priority, group_of, pools, orders):
     n = len(orders)
     pr_pos = {i: p for p, i in enumerate(priority)}
     taken = set()
@@ -114,33 +121,24 @@ def run_csd(problem: Problem) -> tuple[Assignment, Trace]:
     """Chain dictatorship: each pick hands the turn to the owner of the taken
     worker; if that owner already chose, the turn falls back to the best
     remaining division in the priority order."""
-    partition = effective_partition(problem)
-    group_of, pools = _group_tables(partition)
-    mapping, steps = _csd_core(problem.profile.orders, problem.priority, group_of, pools)
-    return Assignment(mapping), Trace(tuple(TraceStep(*s) for s in steps))
+    return run_traced("csd", problem)
 
 
 # -- two-stage dictatorship --------------------------------------------------
 
 
-def _tsd_nominations(orders, priority, group_of, pools):
+def _tsd_core(priority, group_of, pools, orders):
     available = set(range(1, len(orders) + 1))
     noms = []
-    for i in priority:
+    for t, i in enumerate(priority, start=1):
         pool = set(pools[group_of[i]]) & available
         w = _first_available(orders[i - 1], pool)
         available.discard(w)
-        noms.append((i, w))
-    return noms
-
-
-def _tsd_core(orders, priority, group_of, pools):
-    noms = _tsd_nominations(orders, priority, group_of, pools)
+        noms.append((t, i, w, "nominate"))
     # Owners of nominated workers, in nomination order, become the final
     # priority; the assignment is a fresh groupwise dictatorship under it.
-    final = tuple(w for _, w in noms)  # owner of worker w is division w
-    mapping = _sd_groups_core(orders, final, group_of, pools)
-    return mapping, noms, final
+    final = tuple(s[2] for s in noms)  # owner of worker w is division w
+    return _sd_groups_core(final, group_of, pools, orders)[0], noms
 
 
 def run_tsd(problem: Problem) -> tuple[Assignment, Trace]:
@@ -152,13 +150,7 @@ def run_tsd(problem: Problem) -> tuple[Assignment, Trace]:
     dictatorship from scratch under that final priority.  The trace records
     the stage-1 nominations.
     """
-    partition = effective_partition(problem)
-    group_of, pools = _group_tables(partition)
-    mapping, noms, _ = _tsd_core(problem.profile.orders, problem.priority, group_of, pools)
-    steps = tuple(
-        TraceStep(t, i, w, "nominate") for t, (i, w) in enumerate(noms, start=1)
-    )
-    return Assignment(mapping), Trace(steps)
+    return run_traced("tsd", problem)
 
 
 def final_order(problem: Problem, mechanism: str) -> FinalOrder:
@@ -168,16 +160,12 @@ def final_order(problem: Problem, mechanism: str) -> FinalOrder:
     owner sequence of stage-1 nominations.  Running run_sd_within_groups on
     the result reproduces the mechanism's assignment.
     """
-    partition = effective_partition(problem)
-    group_of, pools = _group_tables(partition)
-    if mechanism == "csd":
-        _, steps = _csd_core(problem.profile.orders, problem.priority, group_of, pools)
-        seq = tuple(s[1] for s in steps)
-    elif mechanism == "tsd":
-        _, _, seq = _tsd_core(problem.profile.orders, problem.priority, group_of, pools)
-    else:
+    field = MECHANISMS[mechanism].final_order if mechanism in MECHANISMS else None
+    if field is None:
         raise MalformedProblem(f"no final order for mechanism {mechanism!r}")
-    return FinalOrder.from_global(seq, partition)
+    _, trace = run_traced(mechanism, problem)
+    seq = tuple(getattr(s, field) for s in trace.steps)
+    return FinalOrder.from_global(seq, effective_partition(problem))
 
 
 # -- top trading cycles, complete-exchange variant ---------------------------
@@ -245,7 +233,7 @@ def _cycles(succ, nodes):
     return out
 
 
-def _cettc_core(orders, mu0):
+def _cettc_core(mu0, orders):
     n = len(orders)
     holder = {mu0[i - 1]: i for i in range(1, n + 1)}  # worker -> temp owner
     active = set(range(1, n + 1))
@@ -262,7 +250,7 @@ def _cettc_core(orders, mu0):
         for cyc in _cycles(succ, active):
             for i in cyc:
                 mapping[i - 1] = point[i]
-                events.append((i, point[i]))
+                events.append((len(events) + 1, i, point[i], "cycle"))
             active.difference_update(cyc)
     return tuple(mapping), events
 
@@ -276,12 +264,7 @@ def run_cettc(problem: Problem, mu0="cyclic", seed: int | None = None) -> tuple[
     clear each round.  The own-worker exclusion keeps the final assignment a
     derangement regardless of preferences.
     """
-    mu0 = initial_derangement(problem.n, mu0, seed)
-    mapping, events = _cettc_core(problem.profile.orders, mu0)
-    steps = tuple(
-        TraceStep(t, i, w, "cycle") for t, (i, w) in enumerate(events, start=1)
-    )
-    return Assignment(mapping), Trace(steps)
+    return run_traced(MechanismId("cettc", mu0=mu0, seed=seed), problem)
 
 
 def _ttc_core(orders):
@@ -294,13 +277,13 @@ def _ttc_core(orders):
             for i in cyc:
                 mapping[i - 1] = point[i]
             active.difference_update(cyc)
-    return tuple(mapping)
+    return tuple(mapping), None
 
 
 def run_ttc(problem: Problem) -> Assignment:
     """Classic top trading cycles from the identity endowment (divisions may
     keep their own worker)."""
-    return Assignment(_ttc_core(problem.profile.orders))
+    return run_traced("ttc", problem)[0]
 
 
 # -- backward top trading cycles ---------------------------------------------
@@ -350,7 +333,7 @@ def _bttc_core(orders):
     for step, cycs in stages:
         for cyc in cycs:
             for i in cyc:
-                events.append((i, mapping[i - 1], labels[i]))
+                events.append((len(events) + 1, i, mapping[i - 1], labels[i]))
     return tuple(mapping), events
 
 
@@ -364,11 +347,7 @@ def run_bttc(problem: Problem) -> tuple[Assignment, Trace]:
     preference inside the cycle and no envy from divisions settled later.
     The output need not be a derangement.
     """
-    mapping, events = _bttc_core(problem.profile.orders)
-    steps = tuple(
-        TraceStep(t, i, w, kind) for t, (i, w, kind) in enumerate(events, start=1)
-    )
-    return Assignment(mapping), Trace(steps)
+    return run_traced("bttc", problem)
 
 
 # -- nomination draft ---------------------------------------------------------
@@ -393,7 +372,7 @@ def _npb_draft(orders, priority):
     return tuple(draft)
 
 
-def _npb_core(orders, priority):
+def _npb_core(priority, orders):
     n = len(orders)
     if n < 3:
         raise Infeasible("the draft mechanism needs at least three clubs")
@@ -429,7 +408,7 @@ def _npb_core(orders, priority):
             chooser, kind = w, "owner-call"
         else:
             chooser, kind = min(unassigned, key=draft_pos.__getitem__), "fallback"
-    return tuple(mapping), steps, draft
+    return tuple(mapping), steps
 
 
 def run_npb(problem: Problem) -> tuple[Assignment, Trace]:
@@ -443,30 +422,85 @@ def run_npb(problem: Problem) -> tuple[Assignment, Trace]:
     than its own; when only two clubs remain, the mover must take the other
     remaining club's player, which forces a full exchange.
     """
-    mapping, steps, _ = _npb_core(problem.profile.orders, problem.priority)
-    return Assignment(mapping), Trace(tuple(TraceStep(*s) for s in steps))
+    return run_traced("npb", problem)
 
 
-# -- dispatch -----------------------------------------------------------------
+# -- registry -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """The facts about one mechanism that the rest of the package reads.
+
+    ``bind(mid, n, priority, partition)`` returns the core bound to
+    everything but the orders: ``core(orders) -> (mapping, steps or None)``.
+    ``partition``: the core picks from the pools of an assignment partition.
+    ``reduced``: the outcome never depends on where a division ranks its own
+    worker, so sweeps cover own-last profiles only.  ``options``: the
+    MechanismId fields the binder reads.  ``final_order``: the trace field
+    whose sequence is the order the mechanism runs its dictatorship in.
+    """
+
+    bind: Callable
+    partition: bool = False
+    reduced: bool = False
+    options: tuple[str, ...] = ()
+    final_order: str | None = None
+
+
+def _bind_pools(core):
+    """Binder for a core that reads the priority and the partition's pools."""
+
+    def bind(mid, n, priority, partition):
+        return partial(core, priority, *_group_tables(partition))
+
+    return bind
+
+
+def _bind_cettc(mid, n, priority, partition):
+    return partial(_cettc_core, initial_derangement(n, mid.mu0 or "cyclic", mid.seed))
+
+
+def _bind_sd(mid, n, priority, partition):
+    # Baseline: serial dictatorship within groups under a fixed exogenous
+    # order (no endogenous order stage).
+    order = tuple(mid.order) if mid.order else priority
+    return partial(_sd_groups_core, order, *_group_tables(partition))
+
+
+MECHANISMS = {
+    "csd": Mechanism(_bind_pools(_csd_core), partition=True, reduced=True, final_order="chooser"),
+    "tsd": Mechanism(_bind_pools(_tsd_core), partition=True, reduced=True, final_order="worker"),
+    "cettc": Mechanism(_bind_cettc, reduced=True, options=("mu0", "seed")),
+    "bttc": Mechanism(lambda *_: _bttc_core),
+    "ttc": Mechanism(lambda *_: _ttc_core),
+    "npb": Mechanism(lambda mid, n, priority, _: partial(_npb_core, priority), reduced=True),
+    "sd": Mechanism(_bind_sd, partition=True, reduced=True, options=("order",)),
+}
+
+MECHANISM_TAGS = tuple(MECHANISMS)
+
+
+def mechanism_entry(tag: str) -> Mechanism:
+    """The registry entry for a tag; an unknown tag is malformed input."""
+    try:
+        return MECHANISMS[tag]
+    except KeyError:
+        raise MalformedProblem(f"unknown mechanism {tag!r}") from None
+
+
+def run_traced(mechanism: MechanismId | str, problem: Problem):
+    """Run a mechanism by id: (Assignment, Trace), or (Assignment, None) for
+    a mechanism that keeps no trace."""
+    mid = MechanismId(mechanism) if isinstance(mechanism, str) else mechanism
+    entry = mechanism_entry(mid.tag)
+    partition = effective_partition(problem) if entry.partition else problem.partition
+    core = entry.bind(mid, problem.n, problem.priority, partition)
+    mapping, steps = core(problem.profile.orders)
+    trace = None if steps is None else Trace(tuple(TraceStep(*s) for s in steps))
+    return Assignment(mapping), trace
 
 
 def run_mechanism(mechanism: MechanismId | str, problem: Problem) -> Assignment:
     """Run a mechanism by id and return just the assignment."""
-    mid = MechanismId(mechanism) if isinstance(mechanism, str) else mechanism
-    if mid.tag == "csd":
-        return run_csd(problem)[0]
-    if mid.tag == "tsd":
-        return run_tsd(problem)[0]
-    if mid.tag == "cettc":
-        return run_cettc(problem, mid.mu0 or "cyclic", mid.seed)[0]
-    if mid.tag == "bttc":
-        return run_bttc(problem)[0]
-    if mid.tag == "ttc":
-        return run_ttc(problem)
-    if mid.tag == "npb":
-        return run_npb(problem)[0]
-    if mid.tag == "sd":
-        # Baseline: serial dictatorship within groups under a fixed
-        # exogenous order (no endogenous order stage).
-        return run_sd_within_groups(problem, mid.order or problem.priority)
-    raise MalformedProblem(f"unknown mechanism {mid.tag!r}")
+    return run_traced(mechanism, problem)[0]

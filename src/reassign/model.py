@@ -241,6 +241,10 @@ class AssignmentPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(g.divisions) for g in self.groups)
 
+    def to_list(self) -> list[dict]:
+        """JSON form: one {"divisions", "workers"} object per group."""
+        return [{"divisions": list(g.divisions), "workers": list(g.workers)} for g in self.groups]
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -376,10 +380,7 @@ def problem_to_dict(problem: Problem) -> dict:
         "priority": list(problem.priority),
     }
     if problem.partition is not None:
-        d["partition"] = [
-            {"divisions": list(g.divisions), "workers": list(g.workers)}
-            for g in problem.partition.groups
-        ]
+        d["partition"] = problem.partition.to_list()
     if problem.names is not None:
         d["names"] = list(problem.names)
     return d

@@ -6,14 +6,17 @@ partition-feasible assignments (eap), plain Pareto efficiency (pareto) and
 own-position invariance for any mechanism, either exhaustively over a profile
 space or on seeded samples.
 
-Mechanisms that never read where a division ranks its own worker (the
-partition mechanisms, the draft and the serial dictatorship sd) are swept over
-the reduced space of orders over the other workers, own worker appended last;
-own-position invariance is what makes that equivalent to the full space, and
-is itself checked exhaustively by check_own_position_invariance.  Mechanisms
-that do read own positions (ttc, bttc) are swept over full orders.
+Mechanisms whose registry entry is ``reduced`` (csd, tsd, cettc, npb, sd:
+the outcome never depends on where a division ranks its own worker) are swept
+over the reduced space of orders over the other workers, own worker appended
+last; ttc and bttc, which do read own positions, are swept over full orders.
+The flag is not established by check_own_position_invariance, which moves
+one division's own worker at a time and so passes bttc; the test suite
+backs it by comparing every full profile at n=3 with its own-last form.
 
-Each exhaustive check does only the work its verdict reads:
+Every check runs through one driver that resolves the scope, binds the
+runner, applies the exhaustive cap and builds the report.  Each exhaustive
+check does only the work its verdict reads:
 
 * a probe first runs the pairwise scan over the first ``radix`` base
   profiles, computing outcomes as they are looked up, so a violation near
@@ -25,8 +28,9 @@ Each exhaustive check does only the work its verdict reads:
 * ri builds the same table and tries single adjacent raises only: every
   improvement is a chain of them that leaves the subject's own order alone,
   so the subject loses by some improvement iff it loses by one step;
-* ce, cee, eap and pareto build no table: they run the mechanism profile by
-  profile and stop at the first failure, and ``jobs`` splits that stream.
+* ce, cee, eap, pareto and own-position build no table: each is one fault
+  function run on the mechanism's outcome profile by profile, stopping at
+  the first fault, and ``jobs`` splits that stream.
 
 A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
@@ -46,17 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mechanisms import (
-    _bttc_core,
-    _cettc_core,
-    _csd_core,
-    _group_tables,
-    _npb_core,
-    _sd_groups_core,
-    _tsd_core,
-    _ttc_core,
-    initial_derangement,
-)
+from .mechanisms import mechanism_entry
 from .model import (
     Assignment,
     EnumerationBoundExceeded,
@@ -65,6 +59,7 @@ from .model import (
     PreferenceProfile,
     all_full_orders,
     all_orders_excluding,
+    is_derangement,
 )
 from .partition import canonical_partition
 
@@ -73,8 +68,6 @@ _CEE_SET_MAX_N = 9
 _EAP_GROUP_MAX = 8
 _PARETO_MAX_N = 7
 _SCAN_MAX_N = 3
-
-REDUCED_TAGS = frozenset({"csd", "tsd", "cettc", "npb", "sd"})
 
 
 @dataclass(frozen=True)
@@ -255,6 +248,17 @@ def pareto_efficient(profile, mapping) -> bool:
     )
 
 
+# One oracle per property a single outcome can have, read by the sweeps and
+# by ``run --certify``: oracle(profile, mapping, partition) -> bool, where the
+# profile may also be a tuple of orders and only eap reads the partition.
+ORACLES = {
+    "ce": lambda profile, m, partition: is_derangement(m),
+    "cee": lambda profile, m, partition: is_ce_efficient(profile, m),
+    "eap": lambda profile, m, partition: eap_efficient(profile, partition, m),
+    "pareto": lambda profile, m, partition: pareto_efficient(profile, m),
+}
+
+
 # -- improvements -------------------------------------------------------------
 
 
@@ -409,46 +413,24 @@ def mechanism_from_dict(d) -> MechanismId:
     )
 
 
-def uses_reduced_space(mechanism) -> bool:
-    return as_mechanism_id(mechanism).tag in REDUCED_TAGS
-
-
 class _Runner:
-    """Closure over everything but the orders, for sweep speed."""
+    """A mechanism's core bound to everything but the orders, for sweep
+    speed; calling it returns the outcome."""
 
     def __init__(self, mid: MechanismId, n: int, partition=None, priority=None):
+        entry = mechanism_entry(mid.tag)
         self.mid = mid
         self.n = n
         self.priority = tuple(priority) if priority else tuple(range(1, n + 1))
-        self.partition = None
-        if mid.tag in ("csd", "tsd", "sd"):
-            self.partition = partition if partition is not None else canonical_partition(n)
-            self._group_of, self._pools = _group_tables(self.partition)
-        elif partition is not None:
-            self.partition = partition  # kept for eap checks on any mechanism
-            self._group_of, self._pools = _group_tables(partition)
-        if mid.tag == "cettc":
-            self.mu0 = initial_derangement(n, mid.mu0 or "cyclic", mid.seed)
-        if mid.tag == "sd":
-            self.order = tuple(mid.order) if mid.order else self.priority
+        if partition is None and entry.partition:
+            partition = canonical_partition(n)
+        self.partition = partition  # also read by eap checks on any mechanism
+        self.in_problem = entry.partition  # witness problems carry the partition
+        self.reduced = entry.reduced
+        self.core = entry.bind(mid, n, self.priority, partition)
 
     def __call__(self, orders) -> tuple[int, ...]:
-        tag = self.mid.tag
-        if tag == "csd":
-            return _csd_core(orders, self.priority, self._group_of, self._pools)[0]
-        if tag == "tsd":
-            return _tsd_core(orders, self.priority, self._group_of, self._pools)[0]
-        if tag == "cettc":
-            return _cettc_core(orders, self.mu0)[0]
-        if tag == "npb":
-            return _npb_core(orders, self.priority)[0]
-        if tag == "bttc":
-            return _bttc_core(orders)[0]
-        if tag == "ttc":
-            return _ttc_core(orders)
-        if tag == "sd":
-            return _sd_groups_core(orders, self.order, self._group_of, self._pools)
-        raise MalformedProblem(f"unknown mechanism {tag!r}")
+        return self.core(orders)[0]
 
     def label(self) -> str:
         return str(self.mid)
@@ -459,16 +441,9 @@ class _Runner:
             "preferences": [list(o) for o in orders],
             "priority": list(self.priority),
         }
-        if self.mid.tag in ("csd", "tsd", "sd"):
-            d["partition"] = [
-                {"divisions": list(g.divisions), "workers": list(g.workers)}
-                for g in self.partition.groups
-            ]
+        if self.in_problem:
+            d["partition"] = self.partition.to_list()
         return d
-
-
-def _make_runner(mechanism, n, partition=None, priority=None) -> _Runner:
-    return _Runner(as_mechanism_id(mechanism), n, partition, priority)
 
 
 def _outcome_table(runner: _Runner, space: _ProfileSpace):
@@ -597,13 +572,6 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
 _SWEEP = {}
 
 
-def _require_exhaustive_bound(n):
-    if n > _EXHAUSTIVE_MAX_N:
-        raise EnumerationBoundExceeded(
-            f"exhaustive sweeps are capped at n={_EXHAUSTIVE_MAX_N}"
-        )
-
-
 def _sp_scan(lo, hi):
     """Scan base profiles in [lo, hi) for a profitable misreport.  Returns
     (profiles_scanned, comparisons, violation or None); stops at the first
@@ -669,27 +637,15 @@ def _ri_scan(lo, hi):
 
 def _outcome_scan(lo, hi):
     """Run the mechanism on each profile in [lo, hi), in enumeration order,
-    and test its outcome against a per-profile predicate; stops at the first
-    failure.  Returns (profiles_checked, None, (index, outcome) or None)."""
-    space = _SWEEP["space"]
+    and hand its outcome to the sweep's fault function; stops at the first
+    fault.  Returns (profiles_checked, None, (index, witness) or None)."""
     runner = _SWEEP["runner"]
-    kind = _SWEEP["outcome_kind"]
-    partition = _SWEEP.get("partition")
-    profiles = itertools.islice(itertools.product(*space.orders), lo, hi)
+    fault = _SWEEP["fault"]
+    profiles = itertools.islice(itertools.product(*_SWEEP["space"].orders), lo, hi)
     for idx, orders in enumerate(profiles, lo):
-        out = runner(orders)
-        if kind == "ce":
-            ok = all(w != i for i, w in enumerate(out, start=1))
-        elif kind == "cee":
-            ok = all(w != i for i, w in enumerate(out, start=1)) and is_ce_efficient(
-                orders, out
-            )
-        elif kind == "eap":
-            ok = eap_efficient(orders, partition, out)
-        else:  # pareto
-            ok = pareto_efficient(orders, out)
-        if not ok:
-            return idx - lo + 1, None, (idx, out)
+        wit = fault(runner, orders, runner(orders))
+        if wit is not None:
+            return idx - lo + 1, None, (idx, wit)
     return hi - lo, None, None
 
 
@@ -738,26 +694,25 @@ def _sample_orders(rng, n, reduced):
     return tuple(orders)
 
 
-def _finish(prop, runner, scope, holds, checked, comparisons, witness, t0, note=""):
-    return PropertyReport(
-        prop=prop,
-        mechanism=runner.label(),
-        scope=scope,
-        holds=holds,
-        checked=checked,
-        comparisons=comparisons,
-        witness=witness,
-        elapsed=time.perf_counter() - t0,
-        note=note,
-    )
-
-
-def _scope_or_default(scope, n):
+def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
+    """The driver every check runs through: resolve the scope, bind the
+    runner, run ``sampled(runner, scope)`` or, under the size cap,
+    ``sweep(runner)``, and report.  Both return (holds, checked,
+    comparisons, witness)."""
+    t0 = time.perf_counter()
+    mid = as_mechanism_id(mechanism)
     if scope is None:
-        return Scope("exhaustive", n)
-    if scope.n != n:
+        scope = Scope("exhaustive", n)
+    elif scope.n != n:
         raise MalformedProblem("scope.n must match n")
-    return scope
+    runner = _Runner(mid, n, partition, priority)
+    if scope.kind == "sampled":
+        result = sampled(runner, scope)
+    elif n > _EXHAUSTIVE_MAX_N:
+        raise EnumerationBoundExceeded(f"exhaustive sweeps are capped at n={_EXHAUSTIVE_MAX_N}")
+    else:
+        result = sweep(runner)
+    return PropertyReport(prop, runner.label(), scope, *result, time.perf_counter() - t0)
 
 
 def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
@@ -765,49 +720,45 @@ def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
 
     The exhaustive sweep runs in this process whatever ``jobs`` is: its table
     build is serial and its menu scan is far cheaper than a fork."""
-    t0 = time.perf_counter()
-    mid = as_mechanism_id(mechanism)
-    scope = _scope_or_default(scope, n)
-    runner = _make_runner(mid, n, partition, priority)
-    reduced = uses_reduced_space(mid)
+    return _check("sp", mechanism, n, scope, partition, priority, _sp_sampled, _sp_sweep)
 
-    if scope.kind == "sampled":
-        rng = random.Random(scope.seed)
-        comparisons = 0
-        for k in range(scope.count):
-            orders = _sample_orders(rng, n, reduced)
-            out = runner(orders)
-            for i in range(1, n + 1):
-                lie = _sample_orders(rng, n, reduced)[i - 1]
-                if lie == orders[i - 1]:
-                    continue
-                comparisons += 1
-                out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
-                if orders[i - 1].index(out2[i - 1]) < orders[i - 1].index(out[i - 1]):
-                    wit = _sp_witness(runner, orders, i, lie, out, out2)
-                    return _finish("sp", runner, scope, False, k + 1, None, wit, t0)
-        return _finish("sp", runner, scope, True, scope.count, comparisons, None, t0)
 
-    _require_exhaustive_bound(n)
-    space = _space(n, reduced)
+def _sp_sampled(runner, scope):
+    n, reduced = runner.n, runner.reduced
+    rng = random.Random(scope.seed)
+    comparisons = 0
+    for k in range(scope.count):
+        orders = _sample_orders(rng, n, reduced)
+        out = runner(orders)
+        for i in range(1, n + 1):
+            lie = _sample_orders(rng, n, reduced)[i - 1]
+            if lie == orders[i - 1]:
+                continue
+            comparisons += 1
+            out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
+            if orders[i - 1].index(out2[i - 1]) < orders[i - 1].index(out[i - 1]):
+                return False, k + 1, None, _sp_witness(runner, orders, i, lie, out, out2)
+    return True, scope.count, comparisons, None
+
+
+def _sp_sweep(runner):
+    n = runner.n
+    space = _space(n, runner.reduced)
     _SWEEP.clear()
-    _SWEEP["space"] = space
-    _SWEEP["table"] = _ProbeTable(runner, space)
+    _SWEEP.update(space=space, table=_ProbeTable(runner, space))
     _, _, vio = _sp_scan(0, space.radix)
     if vio is None:
         table = _SWEEP["table"] = _outcome_table(runner, space)
         first = _sp_menu_scan(space, table)
         if first is None:
-            comparisons = space.size * n * (space.radix - 1)
-            return _finish("sp", runner, scope, True, space.size, comparisons, None, t0)
+            return True, space.size, space.size * n * (space.radix - 1), None
         _, _, vio = _sp_scan(first, first + 1)
     idx, i, alt = vio
     orders = space.profile_at(idx)
     lie = space.orders[i - 1][alt]
     out = runner(orders)
     out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
-    wit = _sp_witness(runner, orders, i, lie, out, out2)
-    return _finish("sp", runner, scope, False, idx + 1, None, wit, t0)
+    return False, idx + 1, None, _sp_witness(runner, orders, i, lie, out, out2)
 
 
 def _sp_witness(runner, orders, i, lie, out, out2):
@@ -829,44 +780,41 @@ def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
 
     As for check_sp, the exhaustive sweep runs in this process whatever
     ``jobs`` is."""
-    t0 = time.perf_counter()
-    mid = as_mechanism_id(mechanism)
-    scope = _scope_or_default(scope, n)
-    runner = _make_runner(mid, n, partition, priority)
-    reduced = uses_reduced_space(mid)
+    return _check("ri", mechanism, n, scope, partition, priority, _ri_sampled, _ri_sweep)
 
-    if scope.kind == "sampled":
-        rng = random.Random(scope.seed)
-        comparisons = 0
-        for k in range(scope.count):
-            orders = _sample_orders(rng, n, reduced)
-            out = runner(orders)
-            for i in range(1, n + 1):
-                improved = []
-                for j in range(1, n + 1):
-                    o = orders[j - 1]
-                    if j == i:
-                        improved.append(o)
-                        continue
-                    opts = _raised_orders(o, i)
-                    improved.append(opts[rng.randrange(len(opts))])
-                improved = tuple(improved)
-                if improved == orders:
+
+def _ri_sampled(runner, scope):
+    n = runner.n
+    rng = random.Random(scope.seed)
+    comparisons = 0
+    for k in range(scope.count):
+        orders = _sample_orders(rng, n, runner.reduced)
+        out = runner(orders)
+        for i in range(1, n + 1):
+            improved = []
+            for j in range(1, n + 1):
+                o = orders[j - 1]
+                if j == i:
+                    improved.append(o)
                     continue
-                comparisons += 1
-                out2 = runner(improved)
-                if orders[i - 1].index(out2[i - 1]) > orders[i - 1].index(out[i - 1]):
-                    wit = _ri_witness(runner, orders, improved, i, out, out2)
-                    return _finish("ri", runner, scope, False, k + 1, None, wit, t0)
-        return _finish("ri", runner, scope, True, scope.count, comparisons, None, t0)
+                opts = _raised_orders(o, i)
+                improved.append(opts[rng.randrange(len(opts))])
+            improved = tuple(improved)
+            if improved == orders:
+                continue
+            comparisons += 1
+            out2 = runner(improved)
+            if orders[i - 1].index(out2[i - 1]) > orders[i - 1].index(out[i - 1]):
+                return False, k + 1, None, _ri_witness(runner, orders, improved, i, out, out2)
+    return True, scope.count, comparisons, None
 
-    _require_exhaustive_bound(n)
-    space = _space(n, reduced)
+
+def _ri_sweep(runner):
+    n = runner.n
+    space = _space(n, runner.reduced)
     raises = _pairwise_raises(space)
     _SWEEP.clear()
-    _SWEEP["space"] = space
-    _SWEEP["table"] = _ProbeTable(runner, space)
-    _SWEEP["raises"] = raises
+    _SWEEP.update(space=space, table=_ProbeTable(runner, space), raises=raises)
     _, _, vio = _ri_scan(0, space.radix)
     if vio is None:
         table = _SWEEP["table"] = _outcome_table(runner, space)
@@ -878,15 +826,13 @@ def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
                 math.prod(sum(1 + len(r) for r in col) for col in per_div)
                 for per_div in raises
             ) - n * space.size
-            return _finish("ri", runner, scope, True, space.size, comparisons, None, t0)
+            return True, space.size, comparisons, None
         _, _, vio = _ri_scan(space.radix, first + 1)
     idx, i, idx2 = vio
     orders = space.profile_at(idx)
     improved = space.profile_at(idx2)
-    out = runner(orders)
-    out2 = runner(improved)
-    wit = _ri_witness(runner, orders, improved, i, out, out2)
-    return _finish("ri", runner, scope, False, idx + 1, None, wit, t0)
+    wit = _ri_witness(runner, orders, improved, i, runner(orders), runner(improved))
+    return False, idx + 1, None, wit
 
 
 def _pairwise_raises(space: _ProfileSpace):
@@ -935,139 +881,138 @@ def _ri_witness(runner, orders, improved, i, out, out2):
     }
 
 
-def _check_outcomes(prop, mechanism, n, scope, partition, priority, jobs):
-    t0 = time.perf_counter()
-    mid = as_mechanism_id(mechanism)
-    scope = _scope_or_default(scope, n)
-    if prop == "eap" and partition is None:
-        partition = canonical_partition(n)
-    runner = _make_runner(mid, n, partition, priority)
-    reduced = uses_reduced_space(mid)
+def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, spaces=None):
+    """A check of a property each profile has or lacks on its own.
 
-    def bad(orders, out):
-        if prop == "ce":
-            return any(w == i for i, w in enumerate(out, start=1))
-        if prop == "cee":
-            return any(w == i for i, w in enumerate(out, start=1)) or not is_ce_efficient(
-                orders, out
-            )
-        if prop == "eap":
-            return not eap_efficient(orders, partition, out)
-        return not pareto_efficient(orders, out)
+    ``fault(runner, orders, out)`` returns a witness or None.  One loop
+    serves every such property when sampled, and one sweep when exhaustive:
+    ``_outcome_scan`` over the first ``radix`` profiles, then over the whole
+    space through ``_run_ranged``.  Both cover the mechanism's own space
+    unless ``spaces`` gives (sampled reduced, swept reduced).
+    """
 
-    def witness(orders, out):
-        wit = {
-            "kind": prop,
-            "mechanism": mechanism_to_dict(mid),
-            "problem": runner.problem_dict(orders),
-            "outcome": list(out),
-        }
-        if prop == "ce":
-            wit["fixed_points"] = [i for i, w in enumerate(out, start=1) if w == i]
-        elif prop == "cee":
-            doms = [list(d) for d in derangements(n) if _dominates(_rank_maps(orders), d, out)]
-            wit["dominating"] = doms[:1]
-        elif prop == "eap":
-            wit["partition"] = [
-                {"divisions": list(g.divisions), "workers": list(g.workers)}
-                for g in partition.groups
-            ]
-        return wit
-
-    if scope.kind == "sampled":
+    def sampled(runner, scope):
+        reduced = runner.reduced if spaces is None else spaces[0]
         rng = random.Random(scope.seed)
         for k in range(scope.count):
             orders = _sample_orders(rng, n, reduced)
-            out = runner(orders)
-            if bad(orders, out):
-                return _finish(prop, runner, scope, False, k + 1, None, witness(orders, out), t0)
-        return _finish(prop, runner, scope, True, scope.count, None, None, t0)
+            wit = fault(runner, orders, runner(orders))
+            if wit is not None:
+                return False, k + 1, None, wit
+        return True, scope.count, None, None
 
-    _require_exhaustive_bound(n)
-    space = _space(n, reduced)
-    _SWEEP.clear()
-    _SWEEP["space"] = space
-    _SWEEP["runner"] = runner
-    _SWEEP["outcome_kind"] = prop
-    _SWEEP["partition"] = partition
-    _, _, vio = _outcome_scan(0, space.radix)
-    if vio is None:
-        _, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
-    if vio is None:
-        return _finish(prop, runner, scope, True, space.size, None, None, t0)
-    idx, out = vio
-    orders = space.profile_at(idx)
-    return _finish(prop, runner, scope, False, idx + 1, None, witness(orders, out), t0)
+    def sweep(runner):
+        space = _space(n, runner.reduced if spaces is None else spaces[1])
+        _SWEEP.clear()
+        _SWEEP.update(space=space, runner=runner, fault=fault)
+        _, _, vio = _outcome_scan(0, space.radix)
+        if vio is None:
+            _, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
+        if vio is None:
+            return True, space.size, None, None
+        return False, vio[0] + 1, None, vio[1]
+
+    return _check(prop, mechanism, n, scope, partition, priority, sampled, sweep)
+
+
+def _outcome_witness(prop, runner, orders, out, **extra):
+    return {
+        "kind": prop,
+        "mechanism": mechanism_to_dict(runner.mid),
+        "problem": runner.problem_dict(orders),
+        "outcome": list(out),
+        **extra,
+    }
+
+
+def _ce_fault(runner, orders, out):
+    if ORACLES["ce"](orders, out, None):
+        return None
+    fixed = [i for i, w in enumerate(out, start=1) if w == i]
+    return _outcome_witness("ce", runner, orders, out, fixed_points=fixed)
+
+
+def _cee_fault(runner, orders, out):
+    if ORACLES["ce"](orders, out, None) and ORACLES["cee"](orders, out, None):
+        return None
+    ranks = _rank_maps(orders)
+    doms = [list(d) for d in derangements(len(out)) if _dominates(ranks, d, out)]
+    return _outcome_witness("cee", runner, orders, out, dominating=doms[:1])
+
+
+def _eap_fault(runner, orders, out):
+    if ORACLES["eap"](orders, out, runner.partition):
+        return None
+    return _outcome_witness("eap", runner, orders, out, partition=runner.partition.to_list())
+
+
+def _pareto_fault(runner, orders, out):
+    if ORACLES["pareto"](orders, out, None):
+        return None
+    return _outcome_witness("pareto", runner, orders, out)
+
+
+def _own_position_fault(runner, orders, out):
+    n = len(orders)
+    for i in range(1, n + 1):
+        head = tuple(w for w in orders[i - 1] if w != i)
+        for q in range(n):
+            var = head[:q] + (i,) + head[q:]
+            if var == orders[i - 1]:
+                continue
+            moved = orders[: i - 1] + (var,) + orders[i:]
+            moved_out = runner(moved)
+            if moved_out != out:
+                return {
+                    "kind": "own-position",
+                    "mechanism": mechanism_to_dict(runner.mid),
+                    "division": i,
+                    "problem": runner.problem_dict(orders),
+                    "moved_problem": runner.problem_dict(moved),
+                    "outcome": list(out),
+                    "moved_outcome": list(moved_out),
+                }
+    return None
 
 
 def check_ce(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """Every output is a derangement: nobody keeps their own worker."""
-    return _check_outcomes("ce", mechanism, n, scope, partition, priority, jobs)
+    return _profile_check("ce", _ce_fault, mechanism, n, scope, partition, priority, jobs)
 
 
 def check_cee(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """Every output is a derangement no other derangement Pareto-dominates."""
-    return _check_outcomes("cee", mechanism, n, scope, partition, priority, jobs)
+    return _profile_check("cee", _cee_fault, mechanism, n, scope, partition, priority, jobs)
 
 
 def check_eap(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """Every output is partition-feasible and efficient among feasibles."""
-    return _check_outcomes("eap", mechanism, n, scope, partition, priority, jobs)
+    if partition is None:
+        partition = canonical_partition(n)
+    return _profile_check("eap", _eap_fault, mechanism, n, scope, partition, priority, jobs)
 
 
 def check_pareto(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """Every output is Pareto-efficient among all assignments."""
-    return _check_outcomes("pareto", mechanism, n, scope, partition, priority, jobs)
+    return _profile_check("pareto", _pareto_fault, mechanism, n, scope, partition, priority, jobs)
 
 
-def check_own_position_invariance(mechanism, n, scope=None, *, partition=None, priority=None):
-    """Moving a division's own worker around its own order never changes the
-    outcome.  This is what justifies sweeping own-last profiles only."""
-    t0 = time.perf_counter()
-    mid = as_mechanism_id(mechanism)
-    scope = _scope_or_default(scope, n)
-    runner = _make_runner(mid, n, partition, priority)
+def check_own_position_invariance(
+    mechanism, n, scope=None, *, partition=None, priority=None, jobs=1
+):
+    """Moving one division's own worker around its own order never changes
+    the outcome.
 
-    def variants(order, i):
-        head = tuple(w for w in order if w != i)
-        return [head[:q] + (i,) + head[q:] for q in range(n)]
-
-    def scan_profile(orders, out):
-        for i in range(1, n + 1):
-            for var in variants(orders[i - 1], i):
-                if var == orders[i - 1]:
-                    continue
-                moved = tuple(var if j == i else orders[j - 1] for j in range(1, n + 1))
-                if runner(moved) != out:
-                    return {
-                        "kind": "own-position",
-                        "mechanism": mechanism_to_dict(mid),
-                        "division": i,
-                        "problem": runner.problem_dict(orders),
-                        "moved_problem": runner.problem_dict(moved),
-                        "outcome": list(out),
-                        "moved_outcome": list(runner(moved)),
-                    }
-        return None
-
-    if scope.kind == "sampled":
-        rng = random.Random(scope.seed)
-        for k in range(scope.count):
-            orders = _sample_orders(rng, n, reduced=False)
-            wit = scan_profile(orders, runner(orders))
-            if wit is not None:
-                return _finish("own-position", runner, scope, False, k + 1, None, wit, t0)
-        return _finish("own-position", runner, scope, True, scope.count, None, None, t0)
-
-    _require_exhaustive_bound(n)
-    space = _space(n, reduced=True)
-    checked = 0
-    for idx, digits, orders in space.iter_profiles():
-        checked += 1
-        wit = scan_profile(orders, runner(orders))
-        if wit is not None:
-            return _finish("own-position", runner, scope, False, checked, None, wit, t0)
-    return _finish("own-position", runner, scope, True, checked, None, None, t0)
+    Samples draw full profiles; the exhaustive sweep starts from own-last
+    profiles.  Either way one division's own worker moves at a time, so a
+    pass does not show that own-last sweeps equal full-space ones: ``bttc``
+    passes at n=3 and n=4, yet ((1,2,3),(2,1,3),(3,1,2)) has another outcome
+    than its own-last form ((2,3,1),(1,3,2),(1,2,3)).
+    """
+    return _profile_check(
+        "own-position", _own_position_fault, mechanism, n, scope, partition, priority, jobs,
+        spaces=(False, True),
+    )
 
 
 CHECKS = {

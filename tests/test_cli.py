@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from reassign.cli import main, parse_problem, serialize_problem
+from reassign.cli import build_parser, main, parse_problem, serialize_problem
+from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
@@ -122,6 +124,35 @@ def test_run_explicit_mu0_and_order(capsys):
     )
     assert code2 == 0
     assert payload2["mechanism"] == "sd[order=3,2,1]"
+
+
+def test_run_names_only_the_options_the_mechanism_reads(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", str(PROBLEMS / "n3_base.json"), "--mechanism", "csd", "--order", "3,2,1"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "mechanism csd"
+
+
+def test_verify_names_only_the_options_the_mechanism_reads(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--mechanism", "csd", "--mu0", "seed:3", "--property", "sp", "--n", "3"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "property sp for csd: holds"
+    code, payload, _ = run_json(
+        capsys, "verify", "--mechanism", "npb", "--mu0", "seed:3", "--property", "ri", "--n", "3"
+    )
+    assert code == 1
+    assert payload["mechanism"] == "npb"
+    assert payload["witness"]["mechanism"] == {"tag": "npb"}
+
+
+def test_mechanism_choices_are_the_registry():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "verify"):
+        action = next(a for a in sub.choices[command]._actions if a.dest == "mechanism")
+        assert tuple(action.choices) == MECHANISM_TAGS == tuple(MECHANISMS)
 
 
 def test_run_rejects_bad_json_file(capsys, tmp_path):
