@@ -7,13 +7,11 @@ reproduced stay in the report as failures with a note.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .model import (
     Assignment,
     MalformedProblem,
     Problem,
-    all_orders_excluding,
     complete_partial_profile,
 )
 from .mechanisms import (
@@ -29,7 +27,6 @@ from .partition import canonical_partition
 from .verifier import (
     cee_set,
     certify_ri_violation,
-    enumerate_improvements,
     is_improvement,
     scan_ce_efficient_selections,
 )
@@ -468,14 +465,9 @@ def repro_npb(n: int) -> ReproReport:
 # -- worked example: three divisions leave no room ----------------------------
 
 
-def _n3_profiles():
+def repro_n3_incompatibility() -> ReproReport:
     base = complete_partial_profile([(2, 3), (3, 1), (1, 2)])
     improved = complete_partial_profile([(2, 3), (1, 3), (1, 2)])
-    return base, improved
-
-
-def repro_n3_incompatibility() -> ReproReport:
-    base, improved = _n3_profiles()
     mu_a, mu_b = Assignment((2, 3, 1)), Assignment((3, 1, 2))
     lines = []
 
@@ -510,47 +502,16 @@ def repro_n3_incompatibility() -> ReproReport:
             "64 of 64 rules violate",
         )
     )
-    lines.append(_true("n3/branch-keep-cycle", _n3_other_branch(), _N3_OTHER_DETAIL))
-    return ReproReport("n3", tuple(lines))
-
-
-_N3_OTHER_DETAIL = (
-    "every selection rule that keeps (2,3,1) after the improvement violates "
-    "the property at some other improvement pair"
-)
-
-
-def _n3_other_branch() -> bool:
-    improved = _n3_profiles()[1]
-    profiles = [
-        complete_partial_profile(list(rows))
-        for rows in product(
-            all_orders_excluding(3, 1), all_orders_excluding(3, 2), all_orders_excluding(3, 3)
+    keep = scan_ce_efficient_selections(3, pinned={improved.orders: mu_a.mapping})
+    lines.append(
+        _true(
+            "n3/branch-keep-cycle",
+            keep.all_violate,
+            "every selection rule that keeps (2,3,1) after the improvement violates "
+            "the property at some other improvement pair",
         )
-    ]
-    index = {p.orders: k for k, p in enumerate(profiles)}
-    sets = [tuple(cee_set(p)) for p in profiles]
-    mu_a = (2, 3, 1)
-    pinned = index[improved.orders]
-
-    pairs = []
-    for k, p in enumerate(profiles):
-        for i in (1, 2, 3):
-            for q in enumerate_improvements(p, i):
-                if q.orders != p.orders and q.orders in index:
-                    pairs.append((k, index[q.orders], i))
-
-    for choice in product(*sets):
-        if choice[pinned] != mu_a:
-            continue
-        if not any(
-            certify_ri_violation(
-                profiles[kb], profiles[ki], i, choice[kb], choice[ki]
-            )
-            for kb, ki, i in pairs
-        ):
-            return False
-    return True
+    )
+    return ReproReport("n3", tuple(lines))
 
 
 # -- registry -----------------------------------------------------------------

@@ -36,6 +36,14 @@ A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
 those of the pairwise scans, deterministic and minimal in enumeration order
 regardless of --jobs.
+
+The three efficiency oracles ask one question over three classes of
+assignments (all of them, derangements, partition-feasible ones) and answer
+it with one graph search instead of enumerating the class: an assignment is
+Pareto-dominated iff its envy graph, an edge i -> j when division i strictly
+prefers j's worker to its own, has a cycle (Abraham, Cechlárová, Manlove and
+Mehlhorn, "Pareto optimality in house allocation problems", ISAAC 2004).
+Restricting the edges to trades the class allows gives each oracle.
 """
 
 from __future__ import annotations
@@ -65,8 +73,6 @@ from .partition import canonical_partition
 
 _EXHAUSTIVE_MAX_N = 4
 _CEE_SET_MAX_N = 9
-_EAP_GROUP_MAX = 8
-_PARETO_MAX_N = 7
 _SCAN_MAX_N = 3
 
 
@@ -146,6 +152,12 @@ def _orders_of(profile) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(o) for o in profile)
 
 
+def _mapping_of(assignment) -> tuple[int, ...]:
+    if isinstance(assignment, Assignment):
+        return assignment.mapping
+    return tuple(assignment)
+
+
 def _rank_maps(orders):
     return tuple({w: r for r, w in enumerate(o)} for o in orders)
 
@@ -161,12 +173,62 @@ def _dominates(ranks, a, b) -> bool:
     return strict
 
 
+def _dominated(orders, m, allowed) -> bool:
+    """True iff another assignment, each of whose pairs (division i, worker w)
+    passes ``allowed(i, w)``, is weakly better than ``m`` for every division.
+
+    Such an assignment is ``m`` with some divisions trading along the edges
+    of its envy graph: an edge from i to j when i strictly prefers j's worker
+    to its own and may take it.  If every pair of ``m`` passes, ``m`` is
+    dominated iff that graph has a cycle.  Otherwise every division holding a
+    forbidden worker must trade, so the trades are disjoint cycles covering
+    those divisions: a perfect matching of divisions to the workers of ``m``
+    in which only the other divisions may keep their own.
+    """
+    holder = dict(zip(m, range(len(m))))
+    envy, stuck = [], set()
+    for i, (o, own) in enumerate(zip(orders, m), start=1):
+        envy.append([holder[w] for w in o[: o.index(own)] if allowed(i, w)])
+        if not allowed(i, own):
+            stuck.add(i - 1)
+    if not stuck:
+        live = {i for i, e in enumerate(envy) if e}
+        while live:  # peel divisions that envy nobody left; the rest hold a cycle
+            keep = {i for i in live if not live.isdisjoint(envy[i])}
+            if keep == live:
+                return True
+            live = keep
+        return False
+    taker = {}  # j -> the division that takes the worker m[j]
+    for i, e in enumerate(envy):
+        if i not in stuck:  # it may keep its worker, and starts out doing so
+            e.append(i)
+            taker[i] = i
+    return all(_augment(envy, taker, s) for s in stuck)
+
+
+def _augment(envy, taker, s) -> bool:
+    """Find division s a worker by breadth-first search along an alternating
+    path, moving each division on it to the next worker; False if none."""
+    via, back, queue = {}, {}, [s]
+    for i in queue:
+        for j in envy[i]:
+            if j in via:
+                continue
+            via[j] = i
+            if j not in taker:
+                while j is not None:  # back to s, each division one worker on
+                    taker[j] = via[j]
+                    j = back.get(via[j])
+                return True
+            back[taker[j]] = j
+            queue.append(taker[j])
+    return False
+
+
 def is_ce_efficient(profile, mapping) -> bool:
-    """True iff no derangement Pareto-dominates the given derangement."""
-    orders = _orders_of(profile)
-    ranks = _rank_maps(orders)
-    m = tuple(mapping.mapping if isinstance(mapping, Assignment) else mapping)
-    return not any(_dominates(ranks, d, m) for d in derangements(len(orders)))
+    """True iff no derangement Pareto-dominates the given assignment."""
+    return not _dominated(_orders_of(profile), _mapping_of(mapping), operator.ne)
 
 
 def cee_set(profile) -> list[tuple[int, ...]]:
@@ -191,66 +253,30 @@ def cee_set(profile) -> list[tuple[int, ...]]:
 
 def eap_feasible(partition, mapping) -> bool:
     """True iff every division's worker comes from its own group pool."""
-    m = tuple(mapping.mapping if isinstance(mapping, Assignment) else mapping)
-    return all(
-        m[i - 1] in set(g.workers) for g in partition.groups for i in g.divisions
-    )
+    m = _mapping_of(mapping)
+    return all(m[i - 1] in g.workers for g in partition.groups for i in g.divisions)
 
 
 def eap_efficient(profile, partition, mapping) -> bool:
     """True iff the assignment is partition-feasible and no feasible
-    assignment Pareto-dominates it.
-
-    Feasible assignments factor into independent per-group bijections and
-    preferences do not interact across groups, so a dominating feasible
-    assignment exists iff some single group admits a within-group
-    reassignment that is weakly better for all its members and strictly
-    better for one.  Each group is checked by direct enumeration.
-    """
-    orders = _orders_of(profile)
-    ranks = _rank_maps(orders)
-    m = tuple(mapping.mapping if isinstance(mapping, Assignment) else mapping)
+    assignment Pareto-dominates it."""
+    m = _mapping_of(mapping)
     if not eap_feasible(partition, m):
         return False
-    for g in partition.groups:
-        divs = g.divisions
-        if len(divs) > _EAP_GROUP_MAX:
-            raise EnumerationBoundExceeded(
-                f"group efficiency check capped at groups of {_EAP_GROUP_MAX}"
-            )
-        if len(divs) == 1:
-            continue
-        cur = [ranks[i - 1][m[i - 1]] for i in divs]
-        for perm in itertools.permutations(g.workers):
-            strict = False
-            for i, w, c in zip(divs, perm, cur):
-                r = ranks[i - 1][w]
-                if r > c:
-                    break
-                if r < c:
-                    strict = True
-            else:
-                if strict:
-                    return False
-    return True
+    pool = {i: g.workers for g in partition.groups for i in g.divisions}
+    return not _dominated(_orders_of(profile), m, lambda i, w: w in pool[i])
 
 
 def pareto_efficient(profile, mapping) -> bool:
     """True iff no assignment at all Pareto-dominates this one."""
-    orders = _orders_of(profile)
-    n = len(orders)
-    if n > _PARETO_MAX_N:
-        raise EnumerationBoundExceeded(f"pareto check capped at n={_PARETO_MAX_N}")
-    ranks = _rank_maps(orders)
-    m = tuple(mapping.mapping if isinstance(mapping, Assignment) else mapping)
-    return not any(
-        _dominates(ranks, p, m) for p in itertools.permutations(range(1, n + 1))
-    )
+    return not _dominated(_orders_of(profile), _mapping_of(mapping), lambda i, w: True)
 
 
 # One oracle per property a single outcome can have, read by the sweeps and
 # by ``run --certify``: oracle(profile, mapping, partition) -> bool, where the
 # profile may also be a tuple of orders and only eap reads the partition.
+# cee, eap and pareto are each one envy-cycle test (_dominated), so none of
+# them has a size cap.
 ORACLES = {
     "ce": lambda profile, m, partition: is_derangement(m),
     "cee": lambda profile, m, partition: is_ce_efficient(profile, m),
@@ -310,12 +336,8 @@ def certify_ri_violation(base, improved, i: int, outcome_base, outcome_improved)
     if not is_improvement(base, improved, i):
         return False
     b = _orders_of(base)
-    ob = tuple(outcome_base.mapping if isinstance(outcome_base, Assignment) else outcome_base)
-    oi = tuple(
-        outcome_improved.mapping
-        if isinstance(outcome_improved, Assignment)
-        else outcome_improved
-    )
+    ob = _mapping_of(outcome_base)
+    oi = _mapping_of(outcome_improved)
     order = b[i - 1]
     return order.index(ob[i - 1]) < order.index(oi[i - 1])
 
@@ -358,13 +380,6 @@ class _ProfileSpace:
 
     def profile_at(self, idx: int):
         return tuple(self.orders[j][d] for j, d in enumerate(self.digits_of(idx)))
-
-    def iter_profiles(self, lo: int = 0, hi: int | None = None):
-        """Yield (idx, digits, orders) over [lo, hi) in enumeration order."""
-        hi = self.size if hi is None else hi
-        for idx in range(lo, hi):
-            digits = self.digits_of(idx)
-            yield idx, digits, tuple(self.orders[j][d] for j, d in enumerate(digits))
 
 
 @lru_cache(maxsize=None)
@@ -1100,20 +1115,22 @@ class SelectionScanReport:
         }
 
 
-def scan_ce_efficient_selections(n: int = 3) -> SelectionScanReport:
+def scan_ce_efficient_selections(n: int = 3, pinned=None) -> SelectionScanReport:
     """Check that no selection rule picking from the efficient derangement
     set at every profile can respect improvements.
 
     Profiles are enumerated own-last (a rule restricted to those profiles is
     still a rule, so a violation inside the subspace indicts every rule).
     Every combination of per-profile choices is tried against every
-    improvement pair inside the subspace.
+    improvement pair inside the subspace.  ``pinned`` maps profiles (tuples
+    of orders) to the assignment every counted rule selects there.
     """
     if n > _SCAN_MAX_N:
         raise EnumerationBoundExceeded(f"selection scan is capped at n={_SCAN_MAX_N}")
     space = _space(n, reduced=True)
-    profiles = [orders for _, _, orders in space.iter_profiles()]
-    sets = [cee_set(p) for p in profiles]
+    profiles = list(itertools.product(*space.orders))
+    pinned = pinned or {}
+    sets = [[d for d in cee_set(p) if pinned.get(p, d) == d] for p in profiles]
     index = {p: k for k, p in enumerate(profiles)}
 
     # improvement pairs staying inside the own-last subspace

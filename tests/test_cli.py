@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from reassign.cli import build_parser, main, parse_problem, serialize_problem
-from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS
+from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS, effective_partition
+from reassign.verifier import ORACLES
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
@@ -101,15 +102,24 @@ def test_run_with_certifications(capsys):
     assert payload["certify"] == {"ce": False}
 
 
-def test_run_certification_over_bound(capsys, tmp_path):
+def test_run_certification_past_former_caps(capsys, tmp_path):
+    # no certificate has a size cap: past every enumeration bound (n=10),
+    # each returns the library oracle's verdict and the exit code follows
     rows = [[w for w in range(1, 11) if w != i] for i in range(1, 11)]
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": 10, "preferences": rows}))
-    code, _, err = run_cli(
-        capsys, "run", str(path), "--mechanism", "cettc", "--certify", "cee"
-    )
-    assert code == 4
-    assert "capped" in err
+    problem = parse_problem(path.read_text())
+    names = ("cee", "pareto", "eap")
+    for mech in ("cettc", "ttc", "csd"):
+        flags = [a for name in names for a in ("--certify", name)]
+        code, payload, _ = run_json(capsys, "run", str(path), "--mechanism", mech, *flags)
+        m = tuple(payload["assignment"])
+        expected = {
+            name: ORACLES[name](problem.profile, m, effective_partition(problem))
+            for name in names
+        }
+        assert payload["certify"] == expected, mech
+        assert code == (0 if all(expected.values()) else 1), mech
 
 
 def test_run_explicit_mu0_and_order(capsys):

@@ -116,39 +116,120 @@ def test_eap_equals_cee_for_two_divisions():
         assert eap == cee_set(p)
 
 
-def test_eap_efficient_matches_brute_force():
-    rng = random.Random(4)
-    for part in (canonical_partition(4), largest_first_construct(blocks_from_sizes([1, 1, 2]))):
-        pools = [g.workers for g in part.groups]
-        feasible = []
-        for picks in itertools.product(*[itertools.permutations(pool) for pool in pools]):
-            m = [0] * 4
-            for g, perm in zip(part.groups, picks):
-                for i, w in zip(g.divisions, perm):
-                    m[i - 1] = w
-            feasible.append(tuple(m))
-        for _ in range(40):
-            p = random_profile(rng, 4)
-            for m in feasible:
-                brute = not any(pareto_dominates(p, other, m) for other in feasible)
-                assert eap_efficient(p, part, m) == brute
-            # infeasible inputs are never efficient
-            assert not eap_efficient(p, part, (1, 2, 3, 4))
+# Slow twins of the efficiency oracles: each enumerates the assignments that
+# could dominate, as differential references for the envy-graph test.
 
 
-def test_pareto_efficient_matches_brute_force():
+def brute_ce_efficient(profile, mapping):
+    ranks = verifier._rank_maps(profile.orders)
+    m = tuple(mapping)
+    return not any(verifier._dominates(ranks, d, m) for d in derangements(profile.n))
+
+
+def brute_eap_efficient(profile, partition, mapping):
+    # Feasible assignments factor into independent per-group bijections and
+    # preferences do not interact across groups, so a dominating feasible
+    # assignment exists iff some single group admits a within-group
+    # reassignment that is weakly better for all its members and strictly
+    # better for one.
+    ranks = verifier._rank_maps(profile.orders)
+    m = tuple(mapping)
+    if not eap_feasible(partition, m):
+        return False
+    for g in partition.groups:
+        divs = g.divisions
+        cur = [ranks[i - 1][m[i - 1]] for i in divs]
+        for perm in itertools.permutations(g.workers):
+            strict = False
+            for i, w, c in zip(divs, perm, cur):
+                r = ranks[i - 1][w]
+                if r > c:
+                    break
+                if r < c:
+                    strict = True
+            else:
+                if strict:
+                    return False
+    return True
+
+
+def brute_pareto_efficient(profile, mapping):
+    ranks = verifier._rank_maps(profile.orders)
+    m = tuple(mapping)
+    perms = itertools.permutations(range(1, profile.n + 1))
+    return not any(verifier._dominates(ranks, p, m) for p in perms)
+
+
+# group sizes of the partitions eap is checked under, one with a singleton
+# group wherever n allows two shapes
+PARTITION_SIZES = {
+    2: ([1, 1],),
+    3: ([1, 1, 1],),
+    4: ([2, 2], [1, 1, 2]),
+    5: ([1, 2, 2], [1, 1, 1, 2]),
+    6: ([3, 3], [1, 2, 3]),
+}
+
+
+def oracle_pairs(name, n):
+    """(fast oracle, slow twin) pairs over (profile, mapping)."""
+    if name == "pareto":
+        return [(pareto_efficient, brute_pareto_efficient)]
+    if name == "cee":
+        return [(is_ce_efficient, brute_ce_efficient)]
+    pairs = []
+    for sizes in PARTITION_SIZES[n]:
+        part = largest_first_construct(blocks_from_sizes(sizes))
+        pairs.append((
+            lambda p, m, part=part: eap_efficient(p, part, m),
+            lambda p, m, part=part: brute_eap_efficient(p, part, m),
+        ))
+    return pairs
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("name", ("pareto", "cee", "eap"))
+def test_efficiency_oracle_matches_brute_force(name, n):
+    # every assignment, derangement and partition-feasible or not, against
+    # full profiles and own-last ones
+    rng = random.Random(n)
+    profiles = [random_profile(rng, n) for _ in range(12)]
+    others = [[w for w in range(1, n + 1) if w != i] for i in range(1, n + 1)]
+    profiles += [
+        complete_partial_profile([rng.sample(row, n - 1) for row in others], n)
+        for _ in range(12)
+    ]
+    for fast, brute in oracle_pairs(name, n):
+        for p in profiles:
+            for m in itertools.permutations(range(1, n + 1)):
+                assert fast(p, m) == brute(p, m), (p.orders, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*[st.permutations(list(range(1, n + 1))).map(tuple) for _ in range(n)]),
+            st.permutations(list(range(1, n + 1))).map(tuple),
+        )
+    )
+)
+def test_efficiency_oracles_match_brute_force_sampled(case):
+    orders, m = case
+    p = PreferenceProfile(orders)
+    for name in ("pareto", "cee", "eap"):
+        for fast, brute in oracle_pairs(name, len(m)):
+            assert fast(p, m) == brute(p, m)
+
+
+def test_pareto_efficient_past_the_enumeration_bound():
+    # a real verdict at n=8, checked against all 40,320 assignments
     rng = random.Random(5)
-    for _ in range(25):
-        p = random_profile(rng, 4)
-        for m in itertools.permutations(range(1, 5)):
-            brute = not any(
-                pareto_dominates(p, other, m)
-                for other in itertools.permutations(range(1, 5))
-            )
-            assert pareto_efficient(p, m) == brute
-    with pytest.raises(EnumerationBoundExceeded):
-        p8 = random_profile(rng, 8)
-        pareto_efficient(p8, tuple(range(1, 9)))
+    p = random_profile(rng, 8)
+    ttc = run_mechanism("ttc", Problem(profile=p))
+    for m in (ttc.mapping, tuple(range(1, 9)), tuple(range(8, 0, -1))):
+        assert pareto_efficient(p, m) == brute_pareto_efficient(p, m)
+    assert pareto_efficient(p, ttc.mapping)
 
 
 # -- improvement relation --------------------------------------------------------
@@ -335,6 +416,19 @@ def test_selection_scan_all_rules_violate():
     )
     assert tuple(w["outcome"]) in cee_set(base)
     assert tuple(w["improved_outcome"]) in cee_set(improved)
+
+
+def test_selection_scan_pinned_choice():
+    # the rules that keep (2,3,1) after the improvement all violate too;
+    # pinning an assignment outside the profile's set leaves no rule
+    improved = complete_partial_profile([(2, 3), (1, 3), (1, 2)]).orders
+    report = scan_ce_efficient_selections(3, pinned={improved: (2, 3, 1)})
+    assert (report.rules, report.violating_rules, report.all_violate) == (32, 32, True)
+    w = report.sample_witness
+    for key in ("problem", "improved_problem"):
+        if tuple(map(tuple, w[key]["preferences"])) == improved:
+            assert w["outcome" if key == "problem" else "improved_outcome"] == [2, 3, 1]
+    assert scan_ce_efficient_selections(3, pinned={improved: (1, 2, 3)}).rules == 0
 
 
 def test_selection_scan_bound_and_alias():
