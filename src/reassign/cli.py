@@ -153,20 +153,17 @@ def cmd_run(args) -> int:
 
 
 def _witness_text(witness: dict) -> str:
+    """Kind, division and outcomes first, then every problem as a replayable
+    problem file, then the other keys by name."""
+    head = [key for key in ("kind", "division", "outcome", "improved_outcome") if key in witness]
+    problems = [key for key in witness if key.endswith("problem")]
     out = ["witness:"]
-    for key in ("kind", "division", "outcome", "improved_outcome", "deviant_outcome", "detail"):
-        if key in witness:
-            out.append(f"  {key}: {witness[key]}")
-    for key in ("problem", "improved_problem", "deviant_problem"):
-        if key in witness and isinstance(witness[key], dict):
-            out.append(f"  {key} (replayable problem file):")
-            doc = json.dumps(witness[key], indent=2)
-            out.extend("    " + line for line in doc.splitlines())
-    for key in sorted(set(witness) - {
-        "kind", "division", "outcome", "improved_outcome", "deviant_outcome",
-        "detail", "problem", "improved_problem", "deviant_problem",
-    }):
-        out.append(f"  {key}: {witness[key]}")
+    out.extend(f"  {key}: {witness[key]}" for key in head)
+    for key in problems:
+        out.append(f"  {key} (replayable problem file):")
+        out.extend("    " + line for line in json.dumps(witness[key], indent=2).splitlines())
+    rest = sorted(set(witness) - set(head) - set(problems))
+    out.extend(f"  {key}: {witness[key]}" for key in rest)
     return "\n".join(out)
 
 
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mu0", default="cyclic", help="initial derangement (cettc)")
     p_verify.add_argument("--order", default=None, help="fixed division order (sd)")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for ce/cee/eap/pareto/own-position sweeps")
+                          help="worker processes for exhaustive sweeps")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -371,6 +371,27 @@ class MechanismId:
             opts.append(f"seed={self.seed}")
         return self.tag + (f"[{';'.join(opts)}]" if opts else "")
 
+    def to_dict(self) -> dict:
+        d: dict = {"tag": self.tag}
+        if self.mu0 is not None:
+            d["mu0"] = list(self.mu0) if not isinstance(self.mu0, str) else self.mu0
+        if self.order is not None:
+            d["order"] = list(self.order)
+        if self.seed is not None:
+            d["seed"] = self.seed
+        return d
+
+    @classmethod
+    def from_dict(cls, d) -> "MechanismId":
+        mu0 = d.get("mu0")
+        order = d.get("order")
+        return cls(
+            d["tag"],
+            mu0=tuple(mu0) if isinstance(mu0, list) else mu0,
+            order=tuple(order) if order is not None else None,
+            seed=d.get("seed"),
+        )
+
 
 def problem_to_dict(problem: Problem) -> dict:
     """Plain-dict form of a problem, canonical key order, full orders."""

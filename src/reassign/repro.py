@@ -519,31 +519,29 @@ def repro_n3_incompatibility() -> ReproReport:
 _NPB_DEFAULT_SIZES = (3, 4, 5, 6, 12)
 
 
+# id -> report; only npb takes an argument, the number of clubs
+_REPROS = {
+    "intro": repro_intro_example,
+    "tables": repro_n4_tables,
+    "bttc": repro_bttc_ri,
+    "npb": repro_npb,
+    "n3": repro_n3_incompatibility,
+}
+REPRO_IDS = tuple(_REPROS)
+
+
 def all_repro_reports(npb_sizes=_NPB_DEFAULT_SIZES):
     """Run every reproduction; the draft scenario at each requested size."""
-    reports = [
-        repro_intro_example(),
-        repro_n4_tables(),
-        repro_bttc_ri(),
-    ]
-    reports.extend(repro_npb(n) for n in npb_sizes)
-    reports.append(repro_n3_incompatibility())
+    reports = []
+    for repro_id, report in _REPROS.items():
+        calls = [(n,) for n in npb_sizes] if repro_id == "npb" else [()]
+        reports.extend(report(*args) for args in calls)
     return reports
-
-
-REPRO_IDS = ("intro", "tables", "bttc", "npb", "n3")
 
 
 def run_repro(repro_id: str, n: int | None = None):
     """Run one reproduction by id; ``npb`` takes the number of clubs."""
-    if repro_id == "intro":
-        return repro_intro_example()
-    if repro_id == "tables":
-        return repro_n4_tables()
-    if repro_id == "bttc":
-        return repro_bttc_ri()
-    if repro_id == "npb":
-        return repro_npb(n if n is not None else 4)
-    if repro_id == "n3":
-        return repro_n3_incompatibility()
-    raise MalformedProblem(f"unknown repro id {repro_id!r}")
+    if repro_id not in _REPROS:
+        raise MalformedProblem(f"unknown repro id {repro_id!r}")
+    args = (n if n is not None else 4,) if repro_id == "npb" else ()
+    return _REPROS[repro_id](*args)

@@ -18,14 +18,16 @@ Every check runs through one driver that resolves the scope, binds the
 runner, applies the exhaustive cap and builds the report.  Each exhaustive
 check does only the work its verdict reads:
 
-* a probe first runs the pairwise scan over the first ``radix`` base
+* sp and ri are one deviation check: division i must not gain by its own
+  misreport (sp) nor lose when the others raise its worker (ri).  A probe
+  first runs the property's pairwise scan over the first ``radix`` base
   profiles, computing outcomes as they are looked up, so a violation near
   the start of the space is found without building a table;
-* sp then builds a byte table of outcome codes and applies the taxation
+* otherwise a ranged scan fills a byte table of outcome codes in shared
+  memory, and ``jobs`` splits that fill.  sp then applies the taxation
   principle: with the other divisions' reports fixed, every report of a
   division must receive the top of that division's menu, the workers its
-  reports can reach;
-* ri builds the same table and tries single adjacent raises only: every
+  reports can reach.  ri tries single adjacent raises only: every
   improvement is a chain of them that leaves the subject's own order alone,
   so the subject loses by some improvement iff it loses by one step;
 * ce, cee, eap, pareto and own-position build no table: each is one fault
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import multiprocessing as mp
 import operator
 import random
@@ -65,9 +68,11 @@ from .model import (
     MalformedProblem,
     MechanismId,
     PreferenceProfile,
+    Problem,
     all_full_orders,
     all_orders_excluding,
     is_derangement,
+    problem_to_dict,
 )
 from .partition import canonical_partition
 
@@ -404,30 +409,6 @@ def as_mechanism_id(mechanism) -> MechanismId:
     raise MalformedProblem(f"not a mechanism: {mechanism!r}")
 
 
-def mechanism_to_dict(mid: MechanismId) -> dict:
-    d: dict = {"tag": mid.tag}
-    if mid.mu0 is not None:
-        d["mu0"] = list(mid.mu0) if not isinstance(mid.mu0, str) else mid.mu0
-    if mid.order is not None:
-        d["order"] = list(mid.order)
-    if mid.seed is not None:
-        d["seed"] = mid.seed
-    return d
-
-
-def mechanism_from_dict(d) -> MechanismId:
-    mu0 = d.get("mu0")
-    if isinstance(mu0, list):
-        mu0 = tuple(mu0)
-    order = d.get("order")
-    return MechanismId(
-        d["tag"],
-        mu0=mu0,
-        order=tuple(order) if order is not None else None,
-        seed=d.get("seed"),
-    )
-
-
 class _Runner:
     """A mechanism's core bound to everything but the orders, for sweep
     speed; calling it returns the outcome."""
@@ -451,21 +432,18 @@ class _Runner:
         return str(self.mid)
 
     def problem_dict(self, orders) -> dict:
-        d: dict = {
-            "n": self.n,
-            "preferences": [list(o) for o in orders],
-            "priority": list(self.priority),
-        }
-        if self.in_problem:
-            d["partition"] = self.partition.to_list()
-        return d
+        partition = self.partition if self.in_problem else None
+        return problem_to_dict(Problem(PreferenceProfile(orders), self.priority, partition))
 
 
-def _outcome_table(runner: _Runner, space: _ProfileSpace):
+def _outcome_table(runner: _Runner, space: _ProfileSpace, jobs=1):
     """Outcome of every profile as a permutation code, one byte each (there
-    are fewer than 256 codes for n <= 5)."""
-    _, code = _perm_codes(space.n)
-    return bytearray(map(code.__getitem__, map(runner, itertools.product(*space.orders))))
+    are fewer than 256 codes for n <= 5).  The table is shared memory that
+    exists before any fork, so ``jobs`` processes fill it by ranges; it is
+    left in the sweep state for the scans that read it."""
+    _SWEEP.update(runner=runner, space=space, table=mmap.mmap(-1, space.size))
+    _run_ranged(_table_scan, space.size, jobs)
+    return _SWEEP["table"]
 
 
 class _ProbeTable(dict):
@@ -511,6 +489,7 @@ def _sp_menu_scan(space: _ProfileSpace, table) -> int | None:
     """
     perms, _ = _perm_codes(space.n)
     radix, size = space.radix, space.size
+    table = bytes(table)  # a shared-memory table has no translate
     best = size
     for j in range(space.n):
         p = space.pows[j]
@@ -530,15 +509,6 @@ def _sp_menu_scan(space: _ProfileSpace, table) -> int | None:
                 digit = next(a for a in range(radix) if col[a] != top[a])
                 best = min(best, stem + digit * p)
     return best if best < size else None
-
-
-def _adjacent_raise(order, w):
-    """``order`` with worker w swapped with the worker just above it, or None
-    when w is first.  An own worker ranked last stays last."""
-    pos = order.index(w)
-    if pos == 0:
-        return None
-    return order[: pos - 1] + (w, order[pos - 1]) + order[pos + 1 :]
 
 
 def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
@@ -561,14 +531,11 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
             for start, step, count in _digit_runs(space, i, d):
                 sl = slice(start, start + step * count, step)
                 rank[sl] = table[sl].translate(trans)
-        for j in range(n):
-            if j == i:
-                continue
-            for d, order in enumerate(space.orders[j]):
-                up = _adjacent_raise(order, i + 1)
-                if up is None:
+        for j, col in enumerate(_pairwise_raises(space)[i]):
+            for d, deltas in enumerate(col):
+                if not deltas:  # worker i+1 is first already, or j is i itself
                     continue
-                delta = (space.order_index[j][up] - d) * space.pows[j]
+                delta = deltas[-1]  # the adjacent raise
                 for start, step, count in _digit_runs(space, j, d):
                     if start >= best:
                         break
@@ -583,14 +550,16 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
 
 # -- exhaustive sweep internals ----------------------------------------------
 
-# Shared state for forked sweep workers; index-range tasks read it after fork.
+# Shared state for forked sweep workers; index-range tasks read it after fork,
+# and the table fill writes the shared table it holds.
 _SWEEP = {}
 
 
 def _sp_scan(lo, hi):
     """Scan base profiles in [lo, hi) for a profitable misreport.  Returns
-    (profiles_scanned, comparisons, violation or None); stops at the first
-    violation, which is minimal in (base index, division, misreport digit)."""
+    (profiles_scanned, comparisons, (base, division, misreport index) or
+    None); stops at the first violation, which is minimal in (base index,
+    division, misreport)."""
     space = _SWEEP["space"]
     table = _SWEEP["table"]
     perms, _ = _perm_codes(space.n)
@@ -611,18 +580,19 @@ def _sp_scan(lo, hi):
                 if alt == digits[j]:
                     continue
                 comparisons += 1
-                out2 = perms[table[stem + alt * pows[j]]]
-                if rk[out2[j]] < got:
-                    return idx - lo + 1, comparisons, (idx, j + 1, alt)
+                lie = stem + alt * pows[j]
+                if rk[perms[table[lie]][j]] < got:
+                    return idx - lo + 1, comparisons, (idx, j + 1, lie)
     return hi - lo, comparisons, None
 
 
 def _ri_scan(lo, hi):
     """Scan base profiles in [lo, hi) for an improvement that hurts its
-    subject.  Returns (profiles_scanned, comparisons, violation or None)."""
+    subject.  Returns (profiles_scanned, comparisons, (base, subject,
+    improved index) or None)."""
     space = _SWEEP["space"]
     table = _SWEEP["table"]
-    raises = _SWEEP["raises"]  # see _pairwise_raises
+    raises = _pairwise_raises(space)
     perms, _ = _perm_codes(space.n)
     n = space.n
     rank_maps = space.rank_maps
@@ -650,6 +620,16 @@ def _ri_scan(lo, hi):
     return hi - lo, comparisons, None
 
 
+def _table_scan(lo, hi):
+    """Fill the outcome table's entries for the profiles in [lo, hi).
+    Returns (profiles_run, None, None)."""
+    table, space = _SWEEP["table"], _SWEEP["space"]
+    code = _perm_codes(space.n)[1]
+    profiles = itertools.islice(itertools.product(*space.orders), lo, hi)
+    table[lo:hi] = bytes(map(code.__getitem__, map(_SWEEP["runner"], profiles)))
+    return hi - lo, None, None
+
+
 def _outcome_scan(lo, hi):
     """Run the mechanism on each profile in [lo, hi), in enumeration order,
     and hand its outcome to the sweep's fault function; stops at the first
@@ -672,7 +652,8 @@ def _run_ranged(scan, size, jobs):
     for any job count.  Aggregate counts are meaningful only when no
     violation is found; callers report the witness position otherwise.
     Where the ``fork`` start method is unavailable the scan runs serially:
-    workers read the sweep state they inherit at fork.
+    workers read the sweep state they inherit at fork, and fill the outcome
+    table through the shared memory it lives in.
     """
     if jobs <= 1 or "fork" not in mp.get_all_start_methods():
         return scan(0, size)
@@ -730,129 +711,111 @@ def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
     return PropertyReport(prop, runner.label(), scope, *result, time.perf_counter() - t0)
 
 
+def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
+                     draw, beats, word, show, scan, fast, exact, holding):
+    """A check that division i ends up no worse off (by its own rank order)
+    when the profile deviates for it.
+
+    The property is data: ``draw(rng, orders, i, reduced)`` samples a
+    deviant profile; ``beats(deviant rank, base rank)`` is True on a
+    violation; the witness names the deviation ``word`` and shows it as
+    ``show(runner, deviant, i)``.  When exhaustive, ``scan`` is the pairwise
+    scan over base profiles, ``fast(space, table)`` the first failing base
+    (``exact``) or a base at or after it, and ``holding(space)`` what the
+    pairwise scan compares when nothing fails.
+    """
+
+    def witness(runner, orders, deviant, i, out, out2):
+        return {
+            "kind": prop,
+            "mechanism": runner.mid.to_dict(),
+            "division": i,
+            "problem": runner.problem_dict(orders),
+            **show(runner, deviant, i),
+            "outcome": list(out),
+            f"{word}_outcome": list(out2),
+            "received": out[i - 1],
+            f"{word}_received": out2[i - 1],
+        }
+
+    def sampled(runner, scope):
+        rng = random.Random(scope.seed)
+        comparisons = 0
+        for k in range(scope.count):
+            orders = _sample_orders(rng, n, runner.reduced)
+            out = runner(orders)
+            for i, order in enumerate(orders, start=1):
+                deviant = draw(rng, orders, i, runner.reduced)
+                if deviant == orders:
+                    continue
+                comparisons += 1
+                out2 = runner(deviant)
+                if beats(order.index(out2[i - 1]), order.index(out[i - 1])):
+                    return False, k + 1, None, witness(runner, orders, deviant, i, out, out2)
+        return True, scope.count, comparisons, None
+
+    def sweep(runner):
+        space = _space(n, runner.reduced)
+        _SWEEP.clear()
+        _SWEEP.update(space=space, table=_ProbeTable(runner, space))
+        _, _, vio = scan(0, space.radix)
+        if vio is None:
+            first = fast(space, _outcome_table(runner, space, jobs))
+            if first is None:
+                return True, space.size, holding(space), None
+            _, _, vio = scan(first if exact else space.radix, first + 1)
+        idx, i, other = vio
+        orders, deviant = space.profile_at(idx), space.profile_at(other)
+        return False, idx + 1, None, witness(
+            runner, orders, deviant, i, runner(orders), runner(deviant)
+        )
+
+    return _check(prop, mechanism, n, scope, partition, priority, sampled, sweep)
+
+
 def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """No division can gain by misreporting its order, all else fixed.
-
-    The exhaustive sweep runs in this process whatever ``jobs`` is: its table
-    build is serial and its menu scan is far cheaper than a fork."""
-    return _check("sp", mechanism, n, scope, partition, priority, _sp_sampled, _sp_sweep)
-
-
-def _sp_sampled(runner, scope):
-    n, reduced = runner.n, runner.reduced
-    rng = random.Random(scope.seed)
-    comparisons = 0
-    for k in range(scope.count):
-        orders = _sample_orders(rng, n, reduced)
-        out = runner(orders)
-        for i in range(1, n + 1):
-            lie = _sample_orders(rng, n, reduced)[i - 1]
-            if lie == orders[i - 1]:
-                continue
-            comparisons += 1
-            out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
-            if orders[i - 1].index(out2[i - 1]) < orders[i - 1].index(out[i - 1]):
-                return False, k + 1, None, _sp_witness(runner, orders, i, lie, out, out2)
-    return True, scope.count, comparisons, None
-
-
-def _sp_sweep(runner):
-    n = runner.n
-    space = _space(n, runner.reduced)
-    _SWEEP.clear()
-    _SWEEP.update(space=space, table=_ProbeTable(runner, space))
-    _, _, vio = _sp_scan(0, space.radix)
-    if vio is None:
-        table = _SWEEP["table"] = _outcome_table(runner, space)
-        first = _sp_menu_scan(space, table)
-        if first is None:
-            return True, space.size, space.size * n * (space.radix - 1), None
-        _, _, vio = _sp_scan(first, first + 1)
-    idx, i, alt = vio
-    orders = space.profile_at(idx)
-    lie = space.orders[i - 1][alt]
-    out = runner(orders)
-    out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
-    return False, idx + 1, None, _sp_witness(runner, orders, i, lie, out, out2)
-
-
-def _sp_witness(runner, orders, i, lie, out, out2):
-    return {
-        "kind": "sp",
-        "mechanism": mechanism_to_dict(runner.mid),
-        "division": i,
-        "problem": runner.problem_dict(orders),
-        "misreport": list(lie),
-        "outcome": list(out),
-        "misreport_outcome": list(out2),
-        "received": out[i - 1],
-        "misreport_received": out2[i - 1],
-    }
+    """No division can gain by misreporting its order, all else fixed."""
+    return _deviation_check(
+        "sp", mechanism, n, scope, partition, priority, jobs,
+        draw=lambda rng, orders, i, reduced: (
+            orders[: i - 1] + (_sample_orders(rng, len(orders), reduced)[i - 1],) + orders[i:]
+        ),
+        beats=operator.lt,
+        word="misreport",
+        show=lambda runner, deviant, i: {"misreport": list(deviant[i - 1])},
+        scan=_sp_scan,
+        fast=_sp_menu_scan,
+        exact=True,
+        holding=lambda space: space.size * space.n * (space.radix - 1),
+    )
 
 
 def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """A division never loses when other divisions rank its worker higher.
-
-    As for check_sp, the exhaustive sweep runs in this process whatever
-    ``jobs`` is."""
-    return _check("ri", mechanism, n, scope, partition, priority, _ri_sampled, _ri_sweep)
-
-
-def _ri_sampled(runner, scope):
-    n = runner.n
-    rng = random.Random(scope.seed)
-    comparisons = 0
-    for k in range(scope.count):
-        orders = _sample_orders(rng, n, runner.reduced)
-        out = runner(orders)
-        for i in range(1, n + 1):
-            improved = []
-            for j in range(1, n + 1):
-                o = orders[j - 1]
-                if j == i:
-                    improved.append(o)
-                    continue
-                opts = _raised_orders(o, i)
-                improved.append(opts[rng.randrange(len(opts))])
-            improved = tuple(improved)
-            if improved == orders:
-                continue
-            comparisons += 1
-            out2 = runner(improved)
-            if orders[i - 1].index(out2[i - 1]) > orders[i - 1].index(out[i - 1]):
-                return False, k + 1, None, _ri_witness(runner, orders, improved, i, out, out2)
-    return True, scope.count, comparisons, None
+    """A division never loses when other divisions rank its worker higher."""
+    return _deviation_check(
+        "ri", mechanism, n, scope, partition, priority, jobs,
+        draw=lambda rng, orders, i, reduced: tuple(
+            o if j == i else rng.choice(_raised_orders(o, i)) for j, o in enumerate(orders, 1)
+        ),
+        beats=operator.gt,
+        word="improved",
+        show=lambda runner, deviant, i: {"improved_problem": runner.problem_dict(deviant)},
+        scan=_ri_scan,
+        fast=_ri_step_scan,
+        exact=False,
+        # every combination of raises per (base, subject), the identity excluded
+        holding=lambda space: sum(
+            math.prod(sum(1 + len(r) for r in col) for col in per_div)
+            for per_div in _pairwise_raises(space)
+        ) - space.n * space.size,
+    )
 
 
-def _ri_sweep(runner):
-    n = runner.n
-    space = _space(n, runner.reduced)
-    raises = _pairwise_raises(space)
-    _SWEEP.clear()
-    _SWEEP.update(space=space, table=_ProbeTable(runner, space), raises=raises)
-    _, _, vio = _ri_scan(0, space.radix)
-    if vio is None:
-        table = _SWEEP["table"] = _outcome_table(runner, space)
-        first = _ri_step_scan(space, table)
-        if first is None:
-            # what the pairwise scan compares: every combination of raises
-            # per (base, subject), the identity excluded
-            comparisons = sum(
-                math.prod(sum(1 + len(r) for r in col) for col in per_div)
-                for per_div in raises
-            ) - n * space.size
-            return True, space.size, comparisons, None
-        _, _, vio = _ri_scan(space.radix, first + 1)
-    idx, i, idx2 = vio
-    orders = space.profile_at(idx)
-    improved = space.profile_at(idx2)
-    wit = _ri_witness(runner, orders, improved, i, runner(orders), runner(improved))
-    return False, idx + 1, None, wit
-
-
+@lru_cache(maxsize=None)
 def _pairwise_raises(space: _ProfileSpace):
     """raises[i-1][j][digit]: index deltas that weakly raise worker i in
-    division j+1's order, identity excluded."""
+    division j+1's order, identity excluded, the adjacent raise last.  The
+    raised worker is never the row's owner, so an own-last row stays one."""
     raises = []
     for i in range(1, space.n + 1):
         per_div = []
@@ -863,7 +826,7 @@ def _pairwise_raises(space: _ProfileSpace):
                     col.append(())
                     continue
                 deltas = []
-                for alt_order in _raised_orders_reduced(order, i, space.reduced):
+                for alt_order in _raised_orders(order, i):
                     alt = space.order_index[j][alt_order]
                     if alt != digit:
                         deltas.append((alt - digit) * space.pows[j])
@@ -871,29 +834,6 @@ def _pairwise_raises(space: _ProfileSpace):
             per_div.append(col)
         raises.append(per_div)
     return raises
-
-
-def _raised_orders_reduced(order, i, reduced):
-    """Raise options for worker i in a full order; in reduced spaces the own
-    worker stays pinned last so results remain space members."""
-    if not reduced:
-        return _raised_orders(order, i)
-    head, own = order[:-1], order[-1]
-    return [h + (own,) for h in _raised_orders(head, i)]
-
-
-def _ri_witness(runner, orders, improved, i, out, out2):
-    return {
-        "kind": "ri",
-        "mechanism": mechanism_to_dict(runner.mid),
-        "division": i,
-        "problem": runner.problem_dict(orders),
-        "improved_problem": runner.problem_dict(improved),
-        "outcome": list(out),
-        "improved_outcome": list(out2),
-        "received": out[i - 1],
-        "improved_received": out2[i - 1],
-    }
 
 
 def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, spaces=None):
@@ -933,7 +873,7 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
 def _outcome_witness(prop, runner, orders, out, **extra):
     return {
         "kind": prop,
-        "mechanism": mechanism_to_dict(runner.mid),
+        "mechanism": runner.mid.to_dict(),
         "problem": runner.problem_dict(orders),
         "outcome": list(out),
         **extra,
@@ -980,7 +920,7 @@ def _own_position_fault(runner, orders, out):
             if moved_out != out:
                 return {
                     "kind": "own-position",
-                    "mechanism": mechanism_to_dict(runner.mid),
+                    "mechanism": runner.mid.to_dict(),
                     "division": i,
                     "problem": runner.problem_dict(orders),
                     "moved_problem": runner.problem_dict(moved),
@@ -1047,7 +987,7 @@ def revalidate_witness(witness: dict) -> bool:
     from .mechanisms import run_mechanism
     from .model import AssignmentPartition, Problem, problem_from_dict
 
-    mid = mechanism_from_dict(witness["mechanism"])
+    mid = MechanismId.from_dict(witness["mechanism"])
     kind = witness["kind"]
     problem = problem_from_dict(witness["problem"])
     out = run_mechanism(mid, problem)
@@ -1134,19 +1074,13 @@ def scan_ce_efficient_selections(n: int = 3, pinned=None) -> SelectionScanReport
     index = {p: k for k, p in enumerate(profiles)}
 
     # improvement pairs staying inside the own-last subspace
-    pairs = []  # (base index, improved index, division)
-    for k, orders in enumerate(profiles):
-        for i in range(1, n + 1):
-            variants = [
-                [orders[j - 1]]
-                if j == i
-                else _raised_orders_reduced(orders[j - 1], i, True)
-                for j in range(1, n + 1)
-            ]
-            for combo in itertools.product(*variants):
-                if combo == orders:
-                    continue
-                pairs.append((k, index[combo], i))
+    pairs = [  # (base index, improved index, division)
+        (k, index[combo], i)
+        for k, orders in enumerate(profiles)
+        for i in range(1, n + 1)
+        for combo in enumerate_improvements(orders, i)
+        if combo != orders
+    ]
 
     rules = 0
     violating = 0
@@ -1167,10 +1101,8 @@ def scan_ce_efficient_selections(n: int = 3, pinned=None) -> SelectionScanReport
                 sample = {
                     "kind": "ri",
                     "division": i,
-                    "problem": {"n": n, "preferences": [list(o) for o in profiles[kb]],
-                                "priority": list(range(1, n + 1))},
-                    "improved_problem": {"n": n, "preferences": [list(o) for o in profiles[ki]],
-                                         "priority": list(range(1, n + 1))},
+                    "problem": problem_to_dict(Problem(PreferenceProfile(profiles[kb]))),
+                    "improved_problem": problem_to_dict(Problem(PreferenceProfile(profiles[ki]))),
                     "outcome": list(choice[kb]),
                     "improved_outcome": list(choice[ki]),
                 }

@@ -277,6 +277,36 @@ def test_verify_own_position(capsys):
     assert code == 0
 
 
+def printed_problems(text):
+    """key -> the problem file a text witness prints under that key."""
+    docs, key = {}, None
+    for line in text.splitlines():
+        if line.endswith(" (replayable problem file):"):
+            key = line.split()[0]
+            docs[key] = []
+        elif key is not None and line.startswith("    "):
+            docs[key].append(line)
+        else:
+            key = None
+    return {key: json.loads("\n".join(lines)) for key, lines in docs.items()}
+
+
+def test_verify_text_witness_problems_replay(capsys, tmp_path):
+    argv = ("verify", "--mechanism", "ttc", "--property", "own-position", "--n", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    docs = printed_problems(out)
+    assert set(docs) == {"problem", "moved_problem"}
+    _, payload, _ = run_json(capsys, *argv)
+    wit = payload["witness"]
+    for key, outcome in (("problem", "outcome"), ("moved_problem", "moved_outcome")):
+        assert docs[key] == wit[key]
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(docs[key]))
+        _, replay, _ = run_json(capsys, "run", str(path), "--mechanism", "ttc")
+        assert replay["assignment"] == wit[outcome]
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--mechanism", "cettc", "--property", "ri", "--n", "3"

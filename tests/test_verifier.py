@@ -462,16 +462,24 @@ def pairwise_report(prop, mechanism, n):
     _, comparisons, vio = pairwise_scan(prop, space, table)
     if vio is None:
         return "holds", space.size, comparisons, None
-    idx, i, other = vio
-    orders = space.profile_at(idx)
-    out = runner(orders)
+    idx, i, other = vio  # base, division, deviant profile
+    orders, deviant = space.profile_at(idx), space.profile_at(other)
+    out, out2 = runner(orders), runner(deviant)
     if prop == "sp":
-        lie = space.orders[i - 1][other]
-        out2 = runner(tuple(lie if j == i else orders[j - 1] for j in range(1, n + 1)))
-        wit = verifier._sp_witness(runner, orders, i, lie, out, out2)
+        word, shown = "misreport", {"misreport": list(deviant[i - 1])}
     else:
-        improved = space.profile_at(other)
-        wit = verifier._ri_witness(runner, orders, improved, i, out, runner(improved))
+        word, shown = "improved", {"improved_problem": runner.problem_dict(deviant)}
+    wit = {
+        "kind": prop,
+        "mechanism": runner.mid.to_dict(),
+        "division": i,
+        "problem": runner.problem_dict(orders),
+        **shown,
+        "outcome": list(out),
+        f"{word}_outcome": list(out2),
+        "received": out[i - 1],
+        f"{word}_received": out2[i - 1],
+    }
     return "fails", idx + 1, None, wit
 
 
@@ -556,24 +564,42 @@ def test_streamed_outcome_checks_match_table(prop, tag, jobs):
         assert revalidate_witness(report.witness)
 
 
+# sweeps whose table fill fans out: sp and ri hold for ttc, cettc's ri fails
+# after its table is built
+TABLE_SWEEPS = ((check_sp, "ttc"), (check_ri, "ttc"), (check_ri, "cettc"))
+
+
 def test_fanout_without_fork_runs_serially(monkeypatch):
-    forked = check_pareto("bttc", 3, jobs=2).to_dict()
+    sweeps = ((check_pareto, "bttc"),) + TABLE_SWEEPS
+    forked = [check(tag, 3, jobs=2).to_dict() for check, tag in sweeps]
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
-    serial = check_pareto("bttc", 3, jobs=2).to_dict()
-    forked.pop("elapsed_s")
-    serial.pop("elapsed_s")
+    serial = [check(tag, 3, jobs=2).to_dict() for check, tag in sweeps]
+    for report in forked + serial:
+        report.pop("elapsed_s")
     assert serial == forked
 
 
+def test_outcome_table_is_the_same_for_any_jobs():
+    # workers write disjoint ranges of one shared table; a lost or misplaced
+    # write would leave a byte that differs from the serial fill
+    runner, space, table = sweep_of("ttc", 3)
+    serial = bytes(table)
+    for jobs in (2, 5):
+        assert bytes(verifier._outcome_table(runner, space, jobs)) == serial
+
+
 def test_own_position_report_is_the_same_for_any_jobs():
-    for tag in ("ttc", "npb"):  # fails at its first profile / holds after a fan-out
-        solo = check_own_position_invariance(tag, 3, jobs=1).to_dict()
-        multi = check_own_position_invariance(tag, 3, jobs=2).to_dict()
+    # own-position fails at its first profile for ttc and holds after a
+    # fan-out for npb; the sp and ri sweeps fan out their table fill
+    sweeps = ((check_own_position_invariance, "ttc"), (check_own_position_invariance, "npb"))
+    for check, tag in sweeps + TABLE_SWEEPS:
+        solo = check(tag, 3, jobs=1).to_dict()
+        multi = check(tag, 3, jobs=2).to_dict()
         solo.pop("elapsed_s")
         multi.pop("elapsed_s")
         assert multi == solo
