@@ -5,6 +5,9 @@ The default plan covers the headline facts at desk scale: the order-stage
 mechanisms hold SP/RI/EAP, the cyclic-endowment trading mechanism holds
 CE-efficiency and SP but fails RI at n=3, the draft holds CE-efficiency but
 fails SP (n>=4) and RI (n>=3), and the backward trading variant fails RI.
+It also sweeps the classical benchmark those mechanisms depart from: top
+trading cycles from the identity endowment (Shapley and Scarf) is SP and
+Pareto-efficient over the full n=4 space, but fails complete exchange.
 """
 
 import argparse
@@ -22,6 +25,7 @@ DEFAULT_PLAN = (
     ("cettc", "cee", 4), ("cettc", "sp", 4), ("cettc", "ri", 3),
     ("npb", "cee", 3), ("npb", "sp", 3), ("npb", "sp", 4), ("npb", "ri", 3),
     ("bttc", "ri", 3), ("bttc", "ce", 3),
+    ("ttc", "sp", 4), ("ttc", "pareto", 4), ("ttc", "ce", 3),
 )
 
 

@@ -11,7 +11,11 @@ deliberately does not (divisions may keep their own worker).
 Cores are plain functions over order tuples so that exhaustive sweeps can
 skip dataclass construction.  Each takes its bound arguments first and the
 orders last, and returns (mapping, steps): steps are (t, chooser, worker,
-kind) tuples, or None for a mechanism that keeps no trace.
+kind) tuples, or None for a mechanism that keeps no trace.  The classic
+top-trading core keeps none, so it follows one pointer path at a time and
+clears each cycle as the path closes; the trading cores that keep a trace
+(cettc, bttc) clear cycles round by round through ``_cycles``, because their
+traces list events in that order.
 
 The ``MECHANISMS`` registry, keyed by tag, is the one place that knows each
 mechanism: how to bind its core to everything but the orders, whether it
@@ -268,16 +272,37 @@ def run_cettc(problem: Problem, mu0="cyclic", seed: int | None = None) -> tuple[
 
 
 def _ttc_core(orders):
+    # Path-following TTC: each division keeps a pointer into its own order
+    # that only moves forward, past workers already gone (worker w leaves
+    # with its owner, division w).  Follow pointers from a present division;
+    # when the path closes on itself, that cycle trades and leaves, and the
+    # walk resumes from the division just before it.  Which cycle clears
+    # first does not change the outcome.
     n = len(orders)
-    active = set(range(1, n + 1))
-    mapping = [0] * n
-    while active:
-        point = {i: _first_available(orders[i - 1], active) for i in active}
-        for cyc in _cycles(point, active):  # worker j's owner is division j
-            for i in cyc:
-                mapping[i - 1] = point[i]
-            active.difference_update(cyc)
-    return tuple(mapping), None
+    mapping = [0] * (n + 1)  # mapping[i]: division i's worker, 0 while present
+    top = [0] * (n + 1)
+    path = []
+    for start in range(1, n + 1):
+        if mapping[start]:
+            continue
+        path.append(start)
+        while path:
+            i = path[-1]
+            o = orders[i - 1]
+            k = top[i]
+            while mapping[o[k]]:
+                k += 1
+            top[i] = k
+            j = o[k]
+            if j in path:
+                c = path.index(j)
+                for a in path[c:]:  # i takes j's worker, j the next one's, ...
+                    mapping[i] = a
+                    i = a
+                del path[c:]
+            else:
+                path.append(j)
+    return tuple(mapping[1:]), None
 
 
 def run_ttc(problem: Problem) -> Assignment:

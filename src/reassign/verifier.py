@@ -45,7 +45,10 @@ it with one graph search instead of enumerating the class: an assignment is
 Pareto-dominated iff its envy graph, an edge i -> j when division i strictly
 prefers j's worker to its own, has a cycle (Abraham, Cechlárová, Manlove and
 Mehlhorn, "Pareto optimality in house allocation problems", ISAAC 2004).
-Restricting the edges to trades the class allows gives each oracle.
+Restricting the edges to trades the class allows gives each oracle.  The
+graph is a set of int bitmasks, one per division, and the cycle test peels
+them.  The witness of a failing cee check, the first dominating derangement,
+is built by the same matching search, so it has no size cap either.
 """
 
 from __future__ import annotations
@@ -154,6 +157,8 @@ def derangements(n: int) -> tuple[tuple[int, ...], ...]:
 def _orders_of(profile) -> tuple[tuple[int, ...], ...]:
     if isinstance(profile, PreferenceProfile):
         return profile.orders
+    if type(profile) is tuple and all(type(o) is tuple for o in profile):
+        return profile
     return tuple(tuple(o) for o in profile)
 
 
@@ -180,36 +185,51 @@ def _dominates(ranks, a, b) -> bool:
 
 def _dominated(orders, m, allowed) -> bool:
     """True iff another assignment, each of whose pairs (division i, worker w)
-    passes ``allowed(i, w)``, is weakly better than ``m`` for every division.
+    passes ``allowed(i, w)`` (every pair when ``allowed`` is None), is weakly
+    better than ``m`` for every division.
 
     Such an assignment is ``m`` with some divisions trading along the edges
     of its envy graph: an edge from i to j when i strictly prefers j's worker
-    to its own and may take it.  If every pair of ``m`` passes, ``m`` is
-    dominated iff that graph has a cycle.  Otherwise every division holding a
-    forbidden worker must trade, so the trades are disjoint cycles covering
-    those divisions: a perfect matching of divisions to the workers of ``m``
-    in which only the other divisions may keep their own.
+    to its own and may take it.  The graph is one int per division, bit j of
+    ``envy[i]`` set for the edge i -> j.  If every pair of ``m`` passes, ``m``
+    is dominated iff that graph has a cycle.  Otherwise every division
+    holding a forbidden worker must trade, so the trades are disjoint cycles
+    covering those divisions: a perfect matching of divisions to the workers
+    of ``m`` in which only the other divisions may keep their own.
     """
-    holder = dict(zip(m, range(len(m))))
-    envy, stuck = [], set()
+    n = len(m)
+    bit = [0] * (n + 1)  # bit[w]: the bit of the division holding worker w
+    for j, w in enumerate(m):
+        bit[w] = 1 << j
+    envy, stuck = [], []
     for i, (o, own) in enumerate(zip(orders, m), start=1):
-        envy.append([holder[w] for w in o[: o.index(own)] if allowed(i, w)])
-        if not allowed(i, own):
-            stuck.add(i - 1)
+        mask = 0
+        for w in o:
+            if w == own:
+                break
+            if allowed is None or allowed(i, w):
+                mask |= bit[w]
+        envy.append(mask)
+        if allowed is not None and not allowed(i, own):
+            stuck.append(i - 1)
     if not stuck:
-        live = {i for i, e in enumerate(envy) if e}
+        live = sum(1 << i for i, e in enumerate(envy) if e)
         while live:  # peel divisions that envy nobody left; the rest hold a cycle
-            keep = {i for i in live if not live.isdisjoint(envy[i])}
+            keep = 0
+            for i, e in enumerate(envy):
+                if e & live and live >> i & 1:
+                    keep |= 1 << i
             if keep == live:
                 return True
             live = keep
         return False
+    adj = [[j for j in range(n) if e >> j & 1] for e in envy]
     taker = {}  # j -> the division that takes the worker m[j]
-    for i, e in enumerate(envy):
+    for i, e in enumerate(adj):
         if i not in stuck:  # it may keep its worker, and starts out doing so
             e.append(i)
             taker[i] = i
-    return all(_augment(envy, taker, s) for s in stuck)
+    return all(_augment(adj, taker, s) for s in stuck)
 
 
 def _augment(envy, taker, s) -> bool:
@@ -229,6 +249,47 @@ def _augment(envy, taker, s) -> bool:
             back[taker[j]] = j
             queue.append(taker[j])
     return False
+
+
+def _first_dominating_derangement(orders, m):
+    """The lexicographically first derangement that Pareto-dominates ``m``,
+    or None.
+
+    Divisions are fixed left to right, each to the smallest worker that is
+    not its own, that it ranks weakly above its worker in ``m``, and that
+    leaves the rest a perfect matching (``_augment``).  While the prefix
+    still equals ``m``'s, the rest must also have a matching other than
+    ``m``'s own: one that leaves out one of ``m``'s remaining pairs.
+    """
+    n = len(m)
+    ok = [  # ok[i]: the workers division i+1 may take, smallest first
+        sorted(w for w in o[: o.index(own) + 1] if w != i)
+        for i, (o, own) in enumerate(zip(orders, m), start=1)
+    ]
+
+    def completes(prefix, banned=None):
+        # the divisions after the prefix take the workers it left, one each
+        adj = [[w for w in ok[i] if w not in prefix and (i, w) != banned] for i in range(n)]
+        taker = {}
+        return all(_augment(adj, taker, s) for s in range(len(prefix), n))
+
+    prefix = []
+    for i in range(n):
+        same = tuple(prefix) == m[:i]
+        for w in ok[i]:
+            if w in prefix:
+                continue
+            trial = prefix + [w]
+            if same and w == m[i]:
+                fits = any(completes(trial, (k, m[k])) for k in range(i + 1, n))
+            else:
+                fits = completes(trial)
+            if fits:
+                prefix = trial
+                break
+        else:
+            return None
+    return tuple(prefix)
 
 
 def is_ce_efficient(profile, mapping) -> bool:
@@ -274,7 +335,7 @@ def eap_efficient(profile, partition, mapping) -> bool:
 
 def pareto_efficient(profile, mapping) -> bool:
     """True iff no assignment at all Pareto-dominates this one."""
-    return not _dominated(_orders_of(profile), _mapping_of(mapping), lambda i, w: True)
+    return not _dominated(_orders_of(profile), _mapping_of(mapping), None)
 
 
 # One oracle per property a single outcome can have, read by the sweeps and
@@ -890,9 +951,8 @@ def _ce_fault(runner, orders, out):
 def _cee_fault(runner, orders, out):
     if ORACLES["ce"](orders, out, None) and ORACLES["cee"](orders, out, None):
         return None
-    ranks = _rank_maps(orders)
-    doms = [list(d) for d in derangements(len(out)) if _dominates(ranks, d, out)]
-    return _outcome_witness("cee", runner, orders, out, dominating=doms[:1])
+    d = _first_dominating_derangement(orders, out)
+    return _outcome_witness("cee", runner, orders, out, dominating=[] if d is None else [list(d)])
 
 
 def _eap_fault(runner, orders, out):

@@ -1,14 +1,19 @@
 import argparse
+import io
 import json
 import pathlib
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reassign.cli import build_parser, main, parse_problem, serialize_problem
 from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS, effective_partition
+from reassign.model import Infeasible, MalformedProblem, problem_from_dict
 from reassign.verifier import ORACLES
+from test_model import any_problem_json
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
@@ -120,6 +125,27 @@ def test_run_certification_past_former_caps(capsys, tmp_path):
         }
         assert payload["certify"] == expected, mech
         assert code == (0 if all(expected.values()) else 1), mech
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(any_problem_json, st.sampled_from(MECHANISM_TAGS))
+def test_run_fuzzed_problem_file_exits_with_a_code(tmp_path, data, tag):
+    # a problem file holding any JSON value exits 2 (malformed) or 3
+    # (infeasible) as the parser decides, and a problem it accepts exits
+    # 0, 1 or 3 (a mechanism's size floor); nothing raises
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    try:
+        problem_from_dict(data)
+        allowed = (0, 1, 3)
+    except MalformedProblem:
+        allowed = (2,)
+    except Infeasible:
+        allowed = (3,)
+    certify = [a for name in ORACLES for a in ("--certify", name)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["run", str(path), "--mechanism", tag, *certify])
+    assert code in allowed
 
 
 def test_run_explicit_mu0_and_order(capsys):

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from reassign.mechanisms import (
     MECHANISM_TAGS,
+    _cycles,
+    _first_available,
+    _ttc_core,
     final_order,
     initial_derangement,
     npb_draft_priority,
@@ -466,3 +469,41 @@ def test_property_pools_and_final_orders(prob):
         assert run_sd_within_groups(prob, fo.global_order) == a
         for i in range(1, prob.n + 1):
             assert a.worker_of(i) in part.choice_set(i)
+
+
+# -- the ttc core against its round-based twin ---------------------------------------
+
+def round_ttc_core(orders):
+    """Slow twin of the path-following core: every round each remaining
+    division points at its best remaining worker and every cycle clears."""
+    n = len(orders)
+    active = set(range(1, n + 1))
+    mapping = [0] * n
+    while active:
+        point = {i: _first_available(orders[i - 1], active) for i in active}
+        for cyc in _cycles(point, active):  # worker j's owner is division j
+            for i in cyc:
+                mapping[i - 1] = point[i]
+            active.difference_update(cyc)
+    return tuple(mapping), None
+
+
+def test_ttc_core_matches_rounds_full_space_n3():
+    perms = list(itertools.permutations(range(1, 4)))
+    for orders in itertools.product(perms, repeat=3):
+        assert _ttc_core(orders) == round_ttc_core(orders), orders
+
+
+def test_ttc_core_matches_rounds_n4_stride():
+    # every 31st of the 331,776 full n=4 profiles (31 is prime to 24)
+    perms = list(itertools.permutations(range(1, 5)))
+    for orders in itertools.islice(itertools.product(perms, repeat=4), 0, None, 31):
+        assert _ttc_core(orders) == round_ttc_core(orders), orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10).flatmap(
+    lambda n: st.tuples(*[st.permutations(list(range(1, n + 1))).map(tuple) for _ in range(n)])
+))
+def test_ttc_core_matches_rounds(orders):
+    assert _ttc_core(orders) == round_ttc_core(orders)

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reassign.model import (
     Assignment,
@@ -214,6 +214,66 @@ def test_problem_from_dict_validates():
 def test_round_trip_random_profiles(profile):
     prob = Problem(profile=profile)
     assert problem_from_dict(problem_to_dict(prob)) == prob
+
+
+# Any JSON value, and problem-shaped objects whose fields hold any JSON value
+# or near-miss arrays of small integers, for fuzzing the input boundary.
+_small_ints = st.lists(st.integers(-1, 6), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=20,
+)
+_field = json_values | _small_ints
+problem_like = st.fixed_dictionaries(
+    {"preferences": st.lists(_small_ints, max_size=6) | _field},
+    optional={
+        "n": st.integers(-1, 7) | _field,
+        "priority": _small_ints | _field,
+        "partition": st.lists(
+            st.fixed_dictionaries({"divisions": _small_ints, "workers": _small_ints}) | _field,
+            max_size=4,
+        ) | _field,
+        "names": st.lists(st.text(max_size=2), max_size=6) | _field,
+        "extra": _field,
+    },
+)
+
+
+@st.composite
+def near_valid_problems(draw):
+    """A problem that is valid or close to it: full orders, a permutation
+    priority, a partition cut from two permutations, names, and at most one
+    field replaced by any value."""
+    n = draw(st.integers(1, 5))
+    perm = st.permutations(list(range(1, n + 1)))
+    d = {"n": n, "preferences": [draw(perm) for _ in range(n)]}
+    if draw(st.booleans()):
+        d["priority"] = draw(perm)
+    if draw(st.booleans()):
+        divisions, workers = draw(perm), draw(perm)
+        cuts = [0, *sorted(draw(st.sets(st.integers(1, n), max_size=3))), n]
+        d["partition"] = [
+            {"divisions": divisions[a:b], "workers": workers[a:b]} for a, b in zip(cuts, cuts[1:])
+        ]
+    if draw(st.booleans()):
+        d["names"] = draw(st.lists(st.text(max_size=2), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        d[draw(st.sampled_from([*d, "extra"]))] = draw(_field)
+    return d
+
+
+any_problem_json = json_values | problem_like | near_valid_problems()
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_problem_json)
+def test_problem_from_dict_fuzz_raises_only_input_errors(data):
+    try:
+        problem = problem_from_dict(data)
+    except (MalformedProblem, Infeasible):
+        return
+    assert problem_from_dict(problem_to_dict(problem)) == problem
 
 
 # -- ids and enumerations -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import operator
 import random
 
 import pytest
@@ -230,6 +231,112 @@ def test_pareto_efficient_past_the_enumeration_bound():
     for m in (ttc.mapping, tuple(range(1, 9)), tuple(range(8, 0, -1))):
         assert pareto_efficient(p, m) == brute_pareto_efficient(p, m)
     assert pareto_efficient(p, ttc.mapping)
+
+
+# Slow twin of the bitmask envy graph: the same test over envy lists and sets.
+
+
+def list_dominated(orders, m, allowed):
+    holder = dict(zip(m, range(len(m))))
+    envy, stuck = [], set()
+    for i, (o, own) in enumerate(zip(orders, m), start=1):
+        envy.append([holder[w] for w in o[: o.index(own)] if allowed(i, w)])
+        if not allowed(i, own):
+            stuck.add(i - 1)
+    if not stuck:
+        live = {i for i, e in enumerate(envy) if e}
+        while live:
+            keep = {i for i in live if not live.isdisjoint(envy[i])}
+            if keep == live:
+                return True
+            live = keep
+        return False
+    taker = {}
+    for i, e in enumerate(envy):
+        if i not in stuck:
+            e.append(i)
+            taker[i] = i
+    return all(verifier._augment(envy, taker, s) for s in stuck)
+
+
+# two partition shapes per size, for the eap pools past brute force's reach
+LARGE_PARTITION_SIZES = {
+    6: ([3, 3], [1, 2, 3]),
+    7: ([2, 2, 3], [1, 3, 3]),
+    8: ([4, 4], [2, 3, 3]),
+    9: ([1, 4, 4], [3, 3, 3]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(6, 9).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*[st.permutations(list(range(1, n + 1))).map(tuple) for _ in range(n)]),
+            st.permutations(list(range(1, n + 1))).map(tuple),
+        )
+    )
+)
+def test_bitmask_envy_graph_matches_lists(case):
+    # all three forms of ``allowed``, on a random assignment and on the ttc
+    # outcome (which no assignment dominates)
+    orders, m = case
+    n = len(m)
+    ttc = run_mechanism("ttc", Problem(profile=PreferenceProfile(orders))).mapping
+    forms = [(None, lambda i, w: True), (operator.ne, operator.ne)]
+    for sizes in LARGE_PARTITION_SIZES[n]:
+        part = largest_first_construct(blocks_from_sizes(sizes))
+        pool = {i: g.workers for g in part.groups for i in g.divisions}
+        eap = lambda i, w, pool=pool: w in pool[i]
+        forms.append((eap, eap))
+    for fast, slow in forms:
+        for a in (m, ttc):
+            assert verifier._dominated(orders, a, fast) == list_dominated(orders, a, slow)
+    assert not verifier._dominated(orders, ttc, None)
+
+
+# Slow twin of the cee witness: the first dominating derangement by
+# enumerating all of them.
+
+
+def enumerated_first_dominating(orders, m):
+    ranks = verifier._rank_maps(orders)
+    return next((d for d in derangements(len(m)) if verifier._dominates(ranks, d, m)), None)
+
+
+def test_first_dominating_derangement_matches_enumeration_n3():
+    perms = list(itertools.permutations(range(1, 4)))
+    for orders in itertools.product(perms, repeat=3):
+        for m in perms:
+            expected = enumerated_first_dominating(orders, m)
+            assert verifier._first_dominating_derangement(orders, m) == expected, (orders, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.tuples(*[st.permutations(list(range(1, n + 1))).map(tuple) for _ in range(n)]),
+            st.permutations(list(range(1, n + 1))).map(tuple),
+        )
+    )
+)
+def test_first_dominating_derangement_matches_enumeration(case):
+    orders, m = case
+    assert verifier._first_dominating_derangement(orders, m) == enumerated_first_dominating(orders, m)
+
+
+def test_cee_witness_past_the_derangement_bound():
+    # a failing cee check at n=10 gives a verdict, and its witness is the
+    # lexicographically first derangement that dominates the outcome
+    report = check_cee("csd", 10, Scope("sampled", 10, count=20, seed=1))
+    assert not report.holds and revalidate_witness(report.witness)
+    w = report.witness
+    orders = tuple(map(tuple, w["problem"]["preferences"]))
+    (d,) = w["dominating"]
+    assert all(x != i for i, x in enumerate(d, start=1))
+    assert pareto_dominates(PreferenceProfile(orders), d, w["outcome"])
+    assert tuple(d) == verifier._first_dominating_derangement(orders, tuple(w["outcome"]))
 
 
 # -- improvement relation --------------------------------------------------------
