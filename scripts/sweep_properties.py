@@ -5,9 +5,12 @@ The default plan covers the headline facts at desk scale: the order-stage
 mechanisms hold SP/RI/EAP, the cyclic-endowment trading mechanism holds
 CE-efficiency and SP but fails RI at n=3, the draft holds CE-efficiency but
 fails SP (n>=4) and RI (n>=3), and the backward trading variant fails RI.
-It also sweeps the classical benchmark those mechanisms depart from: top
-trading cycles from the identity endowment (Shapley and Scarf) is SP and
-Pareto-efficient over the full n=4 space, but fails complete exchange.
+At n=4 it also checks complete exchange for the order-stage mechanisms and
+the serial dictatorship (every division receives another's worker) and
+CE-efficiency for the draft.  It also sweeps the classical benchmark those
+mechanisms depart from: top trading cycles from the identity endowment
+(Shapley and Scarf) is SP and Pareto-efficient over the full n=4 space, but
+fails complete exchange.
 """
 
 import argparse
@@ -21,9 +24,10 @@ DEFAULT_PLAN = (
     ("csd", "sp", 4), ("csd", "ri", 4), ("csd", "eap", 4),
     ("tsd", "sp", 3), ("tsd", "ri", 3), ("tsd", "eap", 3),
     ("tsd", "sp", 4), ("tsd", "ri", 4), ("tsd", "eap", 4),
-    ("sd", "sp", 4), ("sd", "ri", 4),
+    ("csd", "ce", 4), ("tsd", "ce", 4),
+    ("sd", "sp", 4), ("sd", "ri", 4), ("sd", "ce", 4),
     ("cettc", "cee", 4), ("cettc", "sp", 4), ("cettc", "ri", 3),
-    ("npb", "cee", 3), ("npb", "sp", 3), ("npb", "sp", 4), ("npb", "ri", 3),
+    ("npb", "cee", 3), ("npb", "cee", 4), ("npb", "sp", 3), ("npb", "sp", 4), ("npb", "ri", 3),
     ("bttc", "ri", 3), ("bttc", "ce", 3),
     ("ttc", "sp", 4), ("ttc", "pareto", 4), ("ttc", "ce", 3),
 )

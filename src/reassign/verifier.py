@@ -30,9 +30,14 @@ check does only the work its verdict reads:
   reports can reach.  ri tries single adjacent raises only: every
   improvement is a chain of them that leaves the subject's own order alone,
   so the subject loses by some improvement iff it loses by one step;
-* ce, cee, eap, pareto and own-position build no table: each is one fault
-  function run on the mechanism's outcome profile by profile, stopping at
-  the first fault, and ``jobs`` splits that stream.
+* ce, cee, eap, pareto and own-position build no whole table.  Each has a
+  fault function, which a probe runs on the first ``radix`` profiles.
+  own-position then runs it on every profile in turn.  ce, cee, eap and
+  pareto run the mechanism a block at a time, a block being the profiles
+  that share their first two orders, translate the block's outcome codes to
+  envy masks and peel all its envy graphs at once with int operations; the
+  fault function only builds the witness.  Each stops at its first fault,
+  and ``jobs`` splits the profiles or the blocks.
 
 A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
@@ -197,11 +202,21 @@ def _dominated(orders, m, allowed) -> bool:
     covering those divisions: a perfect matching of divisions to the workers
     of ``m`` in which only the other divisions may keep their own.
     """
-    n = len(m)
-    bit = [0] * (n + 1)  # bit[w]: the bit of the division holding worker w
+    stuck = [] if allowed is None else [i for i, own in enumerate(m) if not allowed(i + 1, own)]
+    if stuck:
+        holder = {w: j for j, w in enumerate(m)}
+        adj, taker = [], {}  # taker: j -> the division that takes the worker m[j]
+        for i, (o, own) in enumerate(zip(orders, m)):
+            e = [holder[w] for w in o[: o.index(own)] if allowed(i + 1, w)]
+            if i not in stuck:  # it may keep its worker, and starts out doing so
+                e.append(i)
+                taker[i] = i
+            adj.append(e)
+        return all(_augment(adj, taker, s) for s in stuck)
+    bit = [0] * (len(m) + 1)  # bit[w]: the bit of the division holding worker w
     for j, w in enumerate(m):
         bit[w] = 1 << j
-    envy, stuck = [], []
+    envy = []
     for i, (o, own) in enumerate(zip(orders, m), start=1):
         mask = 0
         for w in o:
@@ -210,26 +225,16 @@ def _dominated(orders, m, allowed) -> bool:
             if allowed is None or allowed(i, w):
                 mask |= bit[w]
         envy.append(mask)
-        if allowed is not None and not allowed(i, own):
-            stuck.append(i - 1)
-    if not stuck:
-        live = sum(1 << i for i, e in enumerate(envy) if e)
-        while live:  # peel divisions that envy nobody left; the rest hold a cycle
-            keep = 0
-            for i, e in enumerate(envy):
-                if e & live and live >> i & 1:
-                    keep |= 1 << i
-            if keep == live:
-                return True
-            live = keep
-        return False
-    adj = [[j for j in range(n) if e >> j & 1] for e in envy]
-    taker = {}  # j -> the division that takes the worker m[j]
-    for i, e in enumerate(adj):
-        if i not in stuck:  # it may keep its worker, and starts out doing so
-            e.append(i)
-            taker[i] = i
-    return all(_augment(adj, taker, s) for s in stuck)
+    live = sum(1 << i for i, e in enumerate(envy) if e)
+    while live:  # peel divisions that envy nobody left; the rest hold a cycle
+        keep = 0
+        for i, e in enumerate(envy):
+            if e & live and live >> i & 1:
+                keep |= 1 << i
+        if keep == live:
+            return True
+        live = keep
+    return False
 
 
 def _augment(envy, taker, s) -> bool:
@@ -329,8 +334,13 @@ def eap_efficient(profile, partition, mapping) -> bool:
     m = _mapping_of(mapping)
     if not eap_feasible(partition, m):
         return False
+    return not _dominated(_orders_of(profile), m, _pools(partition))
+
+
+def _pools(partition):
+    """The eap edge filter: division i may take worker w from its group pool."""
     pool = {i: g.workers for g in partition.groups for i in g.divisions}
-    return not _dominated(_orders_of(profile), m, lambda i, w: w in pool[i])
+    return lambda i, w: w in pool[i]
 
 
 def pareto_efficient(profile, mapping) -> bool:
@@ -527,12 +537,13 @@ def _code_map(perms, f):
     return bytes(map(f, perms)).ljust(256, b"\0")
 
 
-def _digit_runs(space: _ProfileSpace, j: int, d: int):
-    """(start, step, count) runs that together cover the profiles whose
-    division j+1 reports its order number d, as few runs as possible."""
+def _digit_runs(space: _ProfileSpace, j: int, d: int, size=None):
+    """(start, step, count) runs that together cover the profiles below
+    ``size`` (the whole space by default) whose division j+1 reports its
+    order number d, as few runs as possible."""
     p = space.pows[j]
     block = p * space.radix
-    blocks = space.size // block
+    blocks = (size or space.size) // block
     if blocks <= p:
         return [(b * block + d * p, 1, p) for b in range(blocks)]
     return [(d * p + lo, block, blocks) for lo in range(p)]
@@ -703,6 +714,96 @@ def _outcome_scan(lo, hi):
         if wit is not None:
             return idx - lo + 1, None, (idx, wit)
     return hi - lo, None, None
+
+
+def _block_kernel(space: _ProfileSpace, outside, allowed):
+    """The fault test of one block-scan check, a block being the
+    radix**(n-2) consecutive profiles that share their first two orders.
+
+    The class is ``outside``, a predicate on outcomes outside it (or None),
+    and ``allowed``, the edge filter ``_dominated`` takes (False for no cycle
+    test).  The tables are code maps built once here: whether an outcome
+    lies outside, and per division j and order number d the envy mask of
+    division j+1 (bit k set when it strictly prefers division k+1's worker
+    to its own and may take it).  The returned ``first(codes, b)`` takes
+    block b's outcome codes, translates them to one envy column per
+    division, reads each column as an int, one byte per profile, and peels
+    every profile's envy graph at once as ``_dominated`` peels one.  It
+    returns the offset of the block's first profile that lies outside the
+    class or keeps a cycle, or None.  Codes and masks fit a byte for n <= 5.
+    """
+    n = space.n
+    perms, _ = _perm_codes(n)
+    out_map = None if outside is None else _code_map(perms, outside)
+    size = space.radix ** max(0, n - 2)
+    ones = int.from_bytes(b"\1" * size, "little")
+    low, high, everyone = 0x7F * ones, 0x80 * ones, ((1 << n) - 1) * ones
+
+    def mask(j, order, m):
+        bits = 0
+        for w in order[: order.index(m[j])]:
+            if allowed is None or allowed(j + 1, w):
+                bits |= 1 << m.index(w)
+        return bits
+
+    envy = [
+        [_code_map(perms, lambda m, j=j, o=o: mask(j, o, m)) for o in orders]
+        for j, orders in enumerate(space.orders)
+    ] if allowed is not False else []
+    # divisions 3.. vary inside a block: their (code map, slice) pairs
+    inner = [
+        [
+            (trans, slice(a, a + step * count, step))
+            for d, trans in enumerate(envy[j])
+            for a, step, count in _digit_runs(space, j, d, size)
+        ]
+        for j in range(2, n)
+    ] if envy else []
+
+    def first(codes, b):
+        bad = 0 if out_map is None else int.from_bytes(codes.translate(out_map), "little")
+        if envy:
+            cols = [codes.translate(envy[j][d]) for j, d in enumerate(space.digits_of(b * size)[:2])]
+            for runs in inner:
+                col = bytearray(size)
+                for trans, sl in runs:
+                    col[sl] = codes[sl].translate(trans)
+                cols.append(col)
+            cols = [int.from_bytes(c, "little") for c in cols]
+            live = everyone
+            while live:  # bit i of a byte: division i+1 is live at that profile
+                keep = 0
+                for i, e in enumerate(cols):
+                    e &= live  # the edges into live divisions; where any is
+                    # left, bit 7 of that byte moves down to bit i
+                    keep |= (((e & low) + low | e) & high) >> (7 - i)
+                if keep == live:
+                    break
+                live = keep
+            bad |= live
+        return ((bad & -bad).bit_length() - 1) >> 3 if bad else None
+
+    return first
+
+
+def _block_scan(lo, hi):
+    """Run the mechanism on blocks [lo, hi) of profiles (see
+    ``_block_kernel``), one block at a time, and stop at the first block
+    with a fault; the sweep's fault function gives the witness of its first
+    faulting profile.  Returns (profiles_checked, None, (index, witness) or
+    None) as ``_outcome_scan`` does."""
+    space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
+    perms, code = _perm_codes(space.n)
+    size = space.radix ** max(0, space.n - 2)
+    profiles = itertools.islice(itertools.product(*space.orders), lo * size, hi * size)
+    for b in range(lo, hi):
+        codes = bytes(map(code.__getitem__, map(runner, itertools.islice(profiles, size))))
+        k = first(codes, b)
+        if k is not None:
+            idx = b * size + k
+            wit = _SWEEP["fault"](runner, space.profile_at(idx), perms[codes[k]])
+            return idx - lo * size + 1, None, (idx, wit)
+    return (hi - lo) * size, None, None
 
 
 def _run_ranged(scan, size, jobs):
@@ -903,8 +1004,10 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
     ``fault(runner, orders, out)`` returns a witness or None.  One loop
     serves every such property when sampled, and one sweep when exhaustive:
     ``_outcome_scan`` over the first ``radix`` profiles, then over the whole
-    space through ``_run_ranged``.  Both cover the mechanism's own space
-    unless ``spaces`` gives (sampled reduced, swept reduced).
+    space through ``_run_ranged``, by ``_block_scan`` for the properties in
+    ``_CLASSES`` and by ``_outcome_scan`` for the others.  Both cover the
+    mechanism's own space unless ``spaces`` gives (sampled reduced, swept
+    reduced).
     """
 
     def sampled(runner, scope):
@@ -921,9 +1024,15 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
         space = _space(n, runner.reduced if spaces is None else spaces[1])
         _SWEEP.clear()
         _SWEEP.update(space=space, runner=runner, fault=fault)
-        _, _, vio = _outcome_scan(0, space.radix)
-        if vio is None:
-            _, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
+        try:
+            _, _, vio = _outcome_scan(0, space.radix)
+            if vio is None and prop not in _CLASSES:
+                _, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
+            elif vio is None:
+                _SWEEP["first"] = _block_kernel(space, *_CLASSES[prop](runner.partition))
+                _, _, vio = _run_ranged(_block_scan, space.radix ** min(2, n), jobs)
+        finally:
+            _SWEEP.clear()  # the block tables last one check
         if vio is None:
             return True, space.size, None, None
         return False, vio[0] + 1, None, vio[1]
@@ -965,6 +1074,17 @@ def _pareto_fault(runner, orders, out):
     if ORACLES["pareto"](orders, out, None):
         return None
     return _outcome_witness("pareto", runner, orders, out)
+
+
+# The outcome class of each block-swept property, from the partition:
+# (a predicate on outcomes outside the class or None, the edge filter
+# _dominated takes or False for no cycle test).  Each agrees with its fault.
+_CLASSES = {
+    "ce": lambda partition: (lambda m: not is_derangement(m), False),
+    "cee": lambda partition: (lambda m: not is_derangement(m), operator.ne),
+    "eap": lambda partition: (lambda m: not eap_feasible(partition, m), _pools(partition)),
+    "pareto": lambda partition: (None, None),
+}
 
 
 def _own_position_fault(runner, orders, out):

@@ -10,6 +10,7 @@ from reassign import verifier
 from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS, run_mechanism
 from reassign.model import (
     EnumerationBoundExceeded,
+    Infeasible,
     MalformedProblem,
     MechanismId,
     PreferenceProfile,
@@ -21,6 +22,7 @@ from reassign.model import (
 from reassign.partition import blocks_from_sizes, canonical_partition, largest_first_construct
 from reassign.verifier import (
     CHECKS,
+    ORACLES,
     Scope,
     cee_set,
     certify_ri_violation,
@@ -669,6 +671,114 @@ def test_streamed_outcome_checks_match_table(prop, tag, jobs):
         assert report.witness["problem"]["preferences"] == prefs
         assert report.witness["outcome"] == outcome
         assert revalidate_witness(report.witness)
+
+
+# Slow twin of the block scan: the streamed sweep it replaced, which runs the
+# fault function on each outcome in turn through ``_outcome_scan``.
+
+OUTCOME_FAULTS = {
+    "ce": verifier._ce_fault,
+    "cee": verifier._cee_fault,
+    "eap": verifier._eap_fault,
+    "pareto": verifier._pareto_fault,
+}
+
+
+def streamed_sweep(prop, mechanism, n, jobs=1):
+    """(verdict, checked, comparisons, witness) of an exhaustive outcome check
+    streamed profile by profile."""
+    partition = canonical_partition(n) if prop == "eap" else None
+    runner = verifier._Runner(verifier.as_mechanism_id(mechanism), n, partition)
+    space = verifier._space(n, runner.reduced)
+    verifier._SWEEP.clear()
+    verifier._SWEEP.update(space=space, runner=runner, fault=OUTCOME_FAULTS[prop])
+    _, _, vio = verifier._outcome_scan(0, space.radix)
+    if vio is None:
+        _, _, vio = verifier._run_ranged(verifier._outcome_scan, space.size, jobs)
+    if vio is None:
+        return "holds", space.size, None, None
+    return "fails", vio[0] + 1, None, vio[1]
+
+
+def fields_or_error(run):
+    try:
+        return run()
+    except Infeasible as exc:  # npb needs three divisions
+        return repr(exc)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("prop", sorted(OUTCOME_FAULTS))
+@pytest.mark.parametrize(
+    "mid", [MechanismId(t) for t in ALL_TAGS] + [MechanismId("cettc", mu0="random", seed=5)], ids=str
+)
+def test_block_scan_matches_streamed_sweep(mid, prop, n, monkeypatch):
+    expected = fields_or_error(lambda: streamed_sweep(prop, mid, n))
+
+    def block(jobs):
+        return fields_or_error(lambda: report_fields(CHECKS[prop](mid, n, jobs=jobs)))
+
+    assert block(1) == expected
+    assert block(2) == expected
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
+    assert block(2) == expected
+
+
+def outcome_holds(prop, orders, m, partition):
+    if prop == "cee":  # cee asks for a derangement first, as its fault does
+        return ORACLES["ce"](orders, m, None) and ORACLES["cee"](orders, m, None)
+    return ORACLES[prop](orders, m, partition)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_kernel_finds_the_first_failing_profile(data):
+    # outcomes that hold up to a cut, random codes after it, in one block of
+    # the full n=3 space or the reduced n=4 space
+    n, reduced = data.draw(st.sampled_from([(3, False), (4, True)]))
+    prop = data.draw(st.sampled_from(sorted(OUTCOME_FAULTS)))
+    sizes = data.draw(st.sampled_from(PARTITION_SIZES[n]))
+    partition = largest_first_construct(blocks_from_sizes(sizes))
+    space = verifier._space(n, reduced)
+    perms = verifier._perm_codes(n)[0]
+    size = space.radix ** (n - 2)
+    b = data.draw(st.integers(0, space.radix**2 - 1))
+    cut = data.draw(st.integers(0, size))
+    profiles = [space.profile_at(b * size + k) for k in range(size)]
+    codes = []
+    for k, orders in enumerate(profiles):
+        good = [c for c, m in enumerate(perms) if outcome_holds(prop, orders, m, partition)]
+        pick = st.sampled_from(good) if k < cut and good else st.integers(0, len(perms) - 1)
+        codes.append(data.draw(pick))
+    first = verifier._block_kernel(space, *verifier._CLASSES[prop](partition))
+    expected = next(
+        (k for k, orders in enumerate(profiles)
+         if not outcome_holds(prop, orders, perms[codes[k]], partition)),
+        None,
+    )
+    assert first(bytes(codes), b) == expected
+
+
+def test_block_scan_stops_at_the_first_failing_block(monkeypatch):
+    # bttc pareto fails at profile 3,457 of the full n=4 space: the sweep may
+    # run the probe, the blocks up to that profile and no further block
+    calls = 0
+    call = verifier._Runner.__call__
+
+    def counted(self, orders):
+        nonlocal calls
+        calls += 1
+        return call(self, orders)
+
+    monkeypatch.setattr(verifier._Runner, "__call__", counted)
+    report = check_pareto("bttc", 4)
+    assert not report.holds and report.checked == 3457
+    assert calls <= 3457 + 24**2 + 24
 
 
 # sweeps whose table fill fans out: sp and ri hold for ttc, cettc's ri fails
