@@ -15,29 +15,30 @@ one division's own worker at a time and so passes bttc; the test suite
 backs it by comparing every full profile at n=3 with its own-last form.
 
 Every check runs through one driver that resolves the scope, binds the
-runner, applies the exhaustive cap and builds the report.  Each exhaustive
-check does only the work its verdict reads:
+runner, applies the exhaustive cap and builds the report.  Every exhaustive
+check runs the mechanism through one block scan, ``_outcome_scan``: a block
+is the profiles that share their first two orders, and a kernel chosen per
+check reads each block's outcome codes.  ``jobs`` splits the blocks over
+forked workers after the parent has scanned the first.  Each check does only
+the work its verdict reads:
 
 * sp and ri are one deviation check: division i must not gain by its own
   misreport (sp) nor lose when the others raise its worker (ri).  A probe
   first runs the property's pairwise scan over the first ``radix`` base
   profiles, computing outcomes as they are looked up, so a violation near
   the start of the space is found without building a table;
-* otherwise a ranged scan fills a byte table of outcome codes in shared
-  memory, and ``jobs`` splits that fill.  sp then applies the taxation
-  principle: with the other divisions' reports fixed, every report of a
-  division must receive the top of that division's menu, the workers its
-  reports can reach.  ri tries single adjacent raises only: every
-  improvement is a chain of them that leaves the subject's own order alone,
-  so the subject loses by some improvement iff it loses by one step;
-* ce, cee, eap, pareto and own-position build no whole table.  Each has a
-  fault function, which a probe runs on the first ``radix`` profiles.
-  own-position then runs it on every profile in turn.  ce, cee, eap and
-  pareto run the mechanism a block at a time, a block being the profiles
-  that share their first two orders, translate the block's outcome codes to
-  envy masks and peel all its envy graphs at once with int operations; the
-  fault function only builds the witness.  Each stops at its first fault,
-  and ``jobs`` splits the profiles or the blocks.
+* otherwise the block scan's kernel stores every block's codes in a byte
+  table in shared memory.  sp then applies the taxation principle: with the
+  other divisions' reports fixed, every report of a division must receive
+  the top of that division's menu, the workers its reports can reach.  ri
+  tries single adjacent raises only: every improvement is a chain of them
+  that leaves the subject's own order alone, so the subject loses by some
+  improvement iff it loses by one step;
+* ce, cee, eap, pareto and own-position build no whole table and stop at
+  their first faulting block.  The kernel of ce, cee, eap and pareto
+  translates a block's codes to envy masks and peels all its envy graphs at
+  once with int operations; own-position's runs the check's fault function
+  on each profile of the block.  The fault function builds the witness.
 
 A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
@@ -50,10 +51,11 @@ it with one graph search instead of enumerating the class: an assignment is
 Pareto-dominated iff its envy graph, an edge i -> j when division i strictly
 prefers j's worker to its own, has a cycle (Abraham, Cechlárová, Manlove and
 Mehlhorn, "Pareto optimality in house allocation problems", ISAAC 2004).
-Restricting the edges to trades the class allows gives each oracle.  The
-graph is a set of int bitmasks, one per division, and the cycle test peels
-them.  The witness of a failing cee check, the first dominating derangement,
-is built by the same matching search, so it has no size cap either.
+Restricting the edges to trades the class allows gives each oracle, and
+``cee_set`` keeps the derangements the cee oracle passes.  The graph is a
+set of int bitmasks, one per division, and the cycle test peels them.  The
+witness of a failing cee check, the first dominating derangement, is built
+by the same matching search, so it has no size cap either.
 """
 
 from __future__ import annotations
@@ -173,21 +175,6 @@ def _mapping_of(assignment) -> tuple[int, ...]:
     return tuple(assignment)
 
 
-def _rank_maps(orders):
-    return tuple({w: r for r, w in enumerate(o)} for o in orders)
-
-
-def _dominates(ranks, a, b) -> bool:
-    strict = False
-    for i, ra in enumerate(ranks):
-        x, y = ra[a[i]], ra[b[i]]
-        if x > y:
-            return False
-        if x < y:
-            strict = True
-    return strict
-
-
 def _dominated(orders, m, allowed) -> bool:
     """True iff another assignment, each of whose pairs (division i, worker w)
     passes ``allowed(i, w)`` (every pair when ``allowed`` is None), is weakly
@@ -303,23 +290,13 @@ def is_ce_efficient(profile, mapping) -> bool:
 
 
 def cee_set(profile) -> list[tuple[int, ...]]:
-    """All derangements not Pareto-dominated by another derangement.
-
-    Skyline construction: candidates in increasing total-rank order can only
-    be dominated by already-kept assignments (a dominator has strictly
-    smaller total, and domination is transitive), so one pass suffices.
-    """
+    """All derangements not Pareto-dominated by another derangement, in
+    lexicographic order: the derangements the cee cycle test passes."""
     orders = _orders_of(profile)
     n = len(orders)
     if n > _CEE_SET_MAX_N:
         raise EnumerationBoundExceeded(f"cee_set is capped at n={_CEE_SET_MAX_N}")
-    ranks = _rank_maps(orders)
-    pool = sorted(derangements(n), key=lambda d: sum(r[w] for r, w in zip(ranks, d)))
-    front: list[tuple[int, ...]] = []
-    for cand in pool:
-        if not any(_dominates(ranks, kept, cand) for kept in front):
-            front.append(cand)
-    return sorted(front)
+    return [d for d in derangements(n) if not _dominated(orders, d, operator.ne)]
 
 
 def eap_feasible(partition, mapping) -> bool:
@@ -440,6 +417,8 @@ class _ProfileSpace:
         # pow[j]: weight of division j+1's digit; last digit varies fastest,
         # matching itertools.product enumeration order.
         self.pows = tuple(self.radix ** (n - 1 - j) for j in range(n))
+        # the sweeps' unit: a block of profiles that share their first two orders
+        self.block = self.radix ** max(0, n - 2)
         self.order_index = tuple(
             {o: k for k, o in enumerate(lst)} for lst in self.orders
         )
@@ -456,6 +435,11 @@ class _ProfileSpace:
 
     def profile_at(self, idx: int):
         return tuple(self.orders[j][d] for j, d in enumerate(self.digits_of(idx)))
+
+    def block_profiles(self, b: int):
+        """The profiles of block b, in enumeration order."""
+        head = zip(self.orders, self.digits_of(b * self.block)[:2])
+        return itertools.product(*([lst[d]] for lst, d in head), *self.orders[2:])
 
 
 @lru_cache(maxsize=None)
@@ -510,11 +494,17 @@ class _Runner:
 def _outcome_table(runner: _Runner, space: _ProfileSpace, jobs=1):
     """Outcome of every profile as a permutation code, one byte each (there
     are fewer than 256 codes for n <= 5).  The table is shared memory that
-    exists before any fork, so ``jobs`` processes fill it by ranges; it is
-    left in the sweep state for the scans that read it."""
-    _SWEEP.update(runner=runner, space=space, table=mmap.mmap(-1, space.size))
-    _run_ranged(_table_scan, space.size, jobs)
-    return _SWEEP["table"]
+    exists before any fork, so ``jobs`` processes fill it by blocks, through
+    ``_outcome_scan`` with a kernel that stores each block's codes and never
+    faults; it is left in the sweep state for the scans that read it."""
+    table, block = mmap.mmap(-1, space.size), space.block
+
+    def fill(codes, b):
+        table[b * block : (b + 1) * block] = codes
+
+    _SWEEP.update(runner=runner, space=space, table=table, first=fill)
+    _run_ranged(_outcome_scan, space.size // block, jobs)
+    return table
 
 
 class _ProbeTable(dict):
@@ -692,33 +682,27 @@ def _ri_scan(lo, hi):
     return hi - lo, comparisons, None
 
 
-def _table_scan(lo, hi):
-    """Fill the outcome table's entries for the profiles in [lo, hi).
-    Returns (profiles_run, None, None)."""
-    table, space = _SWEEP["table"], _SWEEP["space"]
-    code = _perm_codes(space.n)[1]
-    profiles = itertools.islice(itertools.product(*space.orders), lo, hi)
-    table[lo:hi] = bytes(map(code.__getitem__, map(_SWEEP["runner"], profiles)))
-    return hi - lo, None, None
-
-
 def _outcome_scan(lo, hi):
-    """Run the mechanism on each profile in [lo, hi), in enumeration order,
-    and hand its outcome to the sweep's fault function; stops at the first
-    fault.  Returns (profiles_checked, None, (index, witness) or None)."""
-    runner = _SWEEP["runner"]
-    fault = _SWEEP["fault"]
-    profiles = itertools.islice(itertools.product(*_SWEEP["space"].orders), lo, hi)
-    for idx, orders in enumerate(profiles, lo):
-        wit = fault(runner, orders, runner(orders))
-        if wit is not None:
-            return idx - lo + 1, None, (idx, wit)
-    return hi - lo, None, None
+    """Run the mechanism on blocks [lo, hi) of profiles, a block being the
+    ``space.block`` consecutive profiles that share their first two orders,
+    and hand each block's outcome codes to the sweep's kernel: ``first(codes,
+    b)`` returns the offset of block b's first faulting profile or None.
+    Stops at the first faulting block; the sweep's fault function gives the
+    witness.  Returns (profiles_run, None, (index, witness) or None)."""
+    space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
+    perms, code = _perm_codes(space.n)
+    for b in range(lo, hi):
+        codes = bytes(map(code.__getitem__, map(runner, space.block_profiles(b))))
+        k = first(codes, b)
+        if k is not None:
+            idx = b * space.block + k
+            wit = _SWEEP["fault"](runner, space.profile_at(idx), perms[codes[k]])
+            return idx - lo * space.block + 1, None, (idx, wit)
+    return (hi - lo) * space.block, None, None
 
 
 def _block_kernel(space: _ProfileSpace, outside, allowed):
-    """The fault test of one block-scan check, a block being the
-    radix**(n-2) consecutive profiles that share their first two orders.
+    """The kernel of an outcome-class check, for ``_outcome_scan``.
 
     The class is ``outside``, a predicate on outcomes outside it (or None),
     and ``allowed``, the edge filter ``_dominated`` takes (False for no cycle
@@ -735,7 +719,7 @@ def _block_kernel(space: _ProfileSpace, outside, allowed):
     n = space.n
     perms, _ = _perm_codes(n)
     out_map = None if outside is None else _code_map(perms, outside)
-    size = space.radix ** max(0, n - 2)
+    size = space.block
     ones = int.from_bytes(b"\1" * size, "little")
     low, high, everyone = 0x7F * ones, 0x80 * ones, ((1 << n) - 1) * ones
 
@@ -786,32 +770,27 @@ def _block_kernel(space: _ProfileSpace, outside, allowed):
     return first
 
 
-def _block_scan(lo, hi):
-    """Run the mechanism on blocks [lo, hi) of profiles (see
-    ``_block_kernel``), one block at a time, and stop at the first block
-    with a fault; the sweep's fault function gives the witness of its first
-    faulting profile.  Returns (profiles_checked, None, (index, witness) or
-    None) as ``_outcome_scan`` does."""
-    space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
-    perms, code = _perm_codes(space.n)
-    size = space.radix ** max(0, space.n - 2)
-    profiles = itertools.islice(itertools.product(*space.orders), lo * size, hi * size)
-    for b in range(lo, hi):
-        codes = bytes(map(code.__getitem__, map(runner, itertools.islice(profiles, size))))
-        k = first(codes, b)
-        if k is not None:
-            idx = b * size + k
-            wit = _SWEEP["fault"](runner, space.profile_at(idx), perms[codes[k]])
-            return idx - lo * size + 1, None, (idx, wit)
-    return (hi - lo) * size, None, None
+def _fault_kernel(space: _ProfileSpace, runner: _Runner, fault):
+    """The kernel of a check with no test over outcome codes: ``fault`` runs
+    on each of the block's profiles in turn."""
+    perms = _perm_codes(space.n)[0]
+
+    def first(codes, b):
+        pairs = enumerate(zip(space.block_profiles(b), codes))
+        return next((k for k, (o, c) in pairs if fault(runner, o, perms[c]) is not None), None)
+
+    return first
 
 
 def _run_ranged(scan, size, jobs):
-    """Run a range scan over [0, size), possibly split across processes.
+    """Run a range scan over units [0, size), possibly split across processes.
 
-    The merged violation is minimal in enumeration order (chunk ranges are
-    disjoint and each chunk stops at its first hit), so reports are identical
-    for any job count.  Aggregate counts are meaningful only when no
+    With ``jobs`` > 1 the parent scans unit 0 first, so a fault there costs
+    no fork, and workers then scan chunks of the rest.  Their results are
+    read in chunk order and the pool is shut down at the first violation,
+    which is minimal in enumeration order: every earlier chunk came back
+    clean and each chunk stops at its first hit.  So reports are identical
+    for any job count.  The count scanned is meaningful only when no
     violation is found; callers report the witness position otherwise.
     Where the ``fork`` start method is unavailable the scan runs serially:
     workers read the sweep state they inherit at fork, and fill the outcome
@@ -819,23 +798,17 @@ def _run_ranged(scan, size, jobs):
     """
     if jobs <= 1 or "fork" not in mp.get_all_start_methods():
         return scan(0, size)
-    step = max(1, -(-size // (jobs * 8)))
-    chunks = []
-    lo = 0
-    while lo < size:
-        chunks.append((lo, min(size, lo + step)))
-        lo += step
-    checked = 0
-    comparisons = 0
-    best = None
-    ctx = mp.get_context("fork")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        for c, comp, vio in pool.map(scan, *zip(*chunks)):
-            checked += c
-            comparisons += 0 if comp is None else comp
-            if vio is not None and (best is None or vio[0] < best[0]):
-                best = vio
-    return checked, comparisons, best
+    checked, _, vio = scan(0, 1)
+    step = max(1, -(-(size - 1) // (jobs * 8)))
+    chunks = [(lo, min(size, lo + step)) for lo in range(1, size, step)]
+    if vio is None and chunks:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=mp.get_context("fork")) as pool:
+            for c, _, vio in pool.map(scan, *zip(*chunks)):
+                checked += c
+                if vio is not None:
+                    pool.shutdown(cancel_futures=True)
+                    break
+    return checked, None, vio
 
 
 # -- public checks ------------------------------------------------------------
@@ -1003,9 +976,9 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
 
     ``fault(runner, orders, out)`` returns a witness or None.  One loop
     serves every such property when sampled, and one sweep when exhaustive:
-    ``_outcome_scan`` over the first ``radix`` profiles, then over the whole
-    space through ``_run_ranged``, by ``_block_scan`` for the properties in
-    ``_CLASSES`` and by ``_outcome_scan`` for the others.  Both cover the
+    ``_outcome_scan`` over the space's blocks through ``_run_ranged``, with
+    the ``_block_kernel`` of the property's class for those in ``_CLASSES``
+    and ``fault`` on each profile for the others.  Both cover the
     mechanism's own space unless ``spaces`` gives (sampled reduced, swept
     reduced).
     """
@@ -1022,15 +995,14 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
 
     def sweep(runner):
         space = _space(n, runner.reduced if spaces is None else spaces[1])
+        if prop in _CLASSES:
+            first = _block_kernel(space, *_CLASSES[prop](runner.partition))
+        else:
+            first = _fault_kernel(space, runner, fault)
         _SWEEP.clear()
-        _SWEEP.update(space=space, runner=runner, fault=fault)
+        _SWEEP.update(space=space, runner=runner, fault=fault, first=first)
         try:
-            _, _, vio = _outcome_scan(0, space.radix)
-            if vio is None and prop not in _CLASSES:
-                _, _, vio = _run_ranged(_outcome_scan, space.size, jobs)
-            elif vio is None:
-                _SWEEP["first"] = _block_kernel(space, *_CLASSES[prop](runner.partition))
-                _, _, vio = _run_ranged(_block_scan, space.radix ** min(2, n), jobs)
+            _, _, vio = _run_ranged(_outcome_scan, space.size // space.block, jobs)
         finally:
             _SWEEP.clear()  # the block tables last one check
         if vio is None:

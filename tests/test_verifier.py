@@ -1,7 +1,9 @@
 import itertools
+import mmap
 import multiprocessing
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,9 +88,11 @@ def test_cee_set_three_division_pair():
 
 
 def test_cee_set_matches_membership_filter_n3():
-    for profile in reduced_profiles(3):
-        direct = [d for d in derangements(3) if is_ce_efficient(profile, d)]
-        assert cee_set(profile) == direct
+    # reference: each derangement against every other, by enumeration
+    for n in (3, 4):
+        for profile in reduced_profiles(n):
+            direct = [d for d in derangements(n) if brute_ce_efficient(profile, d)]
+            assert cee_set(profile) == direct
 
 
 def test_cee_set_bound():
@@ -124,9 +128,7 @@ def test_eap_equals_cee_for_two_divisions():
 
 
 def brute_ce_efficient(profile, mapping):
-    ranks = verifier._rank_maps(profile.orders)
-    m = tuple(mapping)
-    return not any(verifier._dominates(ranks, d, m) for d in derangements(profile.n))
+    return not any(pareto_dominates(profile, d, mapping) for d in derangements(profile.n))
 
 
 def brute_eap_efficient(profile, partition, mapping):
@@ -135,17 +137,16 @@ def brute_eap_efficient(profile, partition, mapping):
     # assignment exists iff some single group admits a within-group
     # reassignment that is weakly better for all its members and strictly
     # better for one.
-    ranks = verifier._rank_maps(profile.orders)
     m = tuple(mapping)
     if not eap_feasible(partition, m):
         return False
     for g in partition.groups:
         divs = g.divisions
-        cur = [ranks[i - 1][m[i - 1]] for i in divs]
+        cur = [profile.rank(i, m[i - 1]) for i in divs]
         for perm in itertools.permutations(g.workers):
             strict = False
             for i, w, c in zip(divs, perm, cur):
-                r = ranks[i - 1][w]
+                r = profile.rank(i, w)
                 if r > c:
                     break
                 if r < c:
@@ -157,10 +158,8 @@ def brute_eap_efficient(profile, partition, mapping):
 
 
 def brute_pareto_efficient(profile, mapping):
-    ranks = verifier._rank_maps(profile.orders)
-    m = tuple(mapping)
     perms = itertools.permutations(range(1, profile.n + 1))
-    return not any(verifier._dominates(ranks, p, m) for p in perms)
+    return not any(pareto_dominates(profile, p, mapping) for p in perms)
 
 
 # group sizes of the partitions eap is checked under, one with a singleton
@@ -302,8 +301,8 @@ def test_bitmask_envy_graph_matches_lists(case):
 
 
 def enumerated_first_dominating(orders, m):
-    ranks = verifier._rank_maps(orders)
-    return next((d for d in derangements(len(m)) if verifier._dominates(ranks, d, m)), None)
+    profile = PreferenceProfile(orders)
+    return next((d for d in derangements(len(m)) if pareto_dominates(profile, d, m)), None)
 
 
 def test_first_dominating_derangement_matches_enumeration_n3():
@@ -673,31 +672,31 @@ def test_streamed_outcome_checks_match_table(prop, tag, jobs):
         assert revalidate_witness(report.witness)
 
 
-# Slow twin of the block scan: the streamed sweep it replaced, which runs the
-# fault function on each outcome in turn through ``_outcome_scan``.
+# Slow twin of the block scan: the sweep streamed profile by profile, the
+# fault function run on each outcome in turn with no verifier scan.
 
 OUTCOME_FAULTS = {
     "ce": verifier._ce_fault,
     "cee": verifier._cee_fault,
     "eap": verifier._eap_fault,
+    "own-position": verifier._own_position_fault,
     "pareto": verifier._pareto_fault,
 }
 
 
-def streamed_sweep(prop, mechanism, n, jobs=1):
+def streamed_sweep(prop, mechanism, n):
     """(verdict, checked, comparisons, witness) of an exhaustive outcome check
     streamed profile by profile."""
     partition = canonical_partition(n) if prop == "eap" else None
     runner = verifier._Runner(verifier.as_mechanism_id(mechanism), n, partition)
-    space = verifier._space(n, runner.reduced)
-    verifier._SWEEP.clear()
-    verifier._SWEEP.update(space=space, runner=runner, fault=OUTCOME_FAULTS[prop])
-    _, _, vio = verifier._outcome_scan(0, space.radix)
-    if vio is None:
-        _, _, vio = verifier._run_ranged(verifier._outcome_scan, space.size, jobs)
-    if vio is None:
-        return "holds", space.size, None, None
-    return "fails", vio[0] + 1, None, vio[1]
+    # own-position sweeps own-last profiles for every mechanism
+    space = verifier._space(n, runner.reduced or prop == "own-position")
+    fault = OUTCOME_FAULTS[prop]
+    for idx, orders in enumerate(itertools.product(*space.orders)):
+        wit = fault(runner, orders, runner(orders))
+        if wit is not None:
+            return "fails", idx + 1, None, wit
+    return "holds", space.size, None, None
 
 
 def fields_or_error(run):
@@ -741,7 +740,7 @@ def test_block_kernel_finds_the_first_failing_profile(data):
     # outcomes that hold up to a cut, random codes after it, in one block of
     # the full n=3 space or the reduced n=4 space
     n, reduced = data.draw(st.sampled_from([(3, False), (4, True)]))
-    prop = data.draw(st.sampled_from(sorted(OUTCOME_FAULTS)))
+    prop = data.draw(st.sampled_from(sorted(verifier._CLASSES)))
     sizes = data.draw(st.sampled_from(PARTITION_SIZES[n]))
     partition = largest_first_construct(blocks_from_sizes(sizes))
     space = verifier._space(n, reduced)
@@ -799,6 +798,29 @@ def test_fanout_without_fork_runs_serially(monkeypatch):
     for report in forked + serial:
         report.pop("elapsed_s")
     assert serial == forked
+
+
+# byte k set once the chunk starting at unit k has run, in any process
+_RAN = mmap.mmap(-1, 17)
+
+
+def _faulting_first_chunk(lo, hi):
+    _RAN[lo] = 1
+    if lo == 1:  # the first chunk past the parent's probe of unit 0
+        return hi - lo, None, (lo, "hit")
+    if lo > 1:
+        time.sleep(0.2)
+    return hi - lo, None, None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_fanout_stops_at_the_first_violation():
+    # 16 one-unit chunks on two workers: once the first chunk's violation is
+    # read, the chunks not yet handed to a worker are cancelled
+    _RAN[:] = bytes(17)
+    assert verifier._run_ranged(_faulting_first_chunk, 17, 2) == (2, None, (1, "hit"))
+    assert _RAN[0] == _RAN[1] == 1
+    assert sum(_RAN[2:]) < 8
 
 
 def test_outcome_table_is_the_same_for_any_jobs():
