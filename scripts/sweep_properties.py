@@ -9,8 +9,9 @@ At n=4 it also checks complete exchange for the order-stage mechanisms and
 the serial dictatorship (every division receives another's worker) and
 CE-efficiency for the draft.  It also sweeps the classical benchmark those
 mechanisms depart from: top trading cycles from the identity endowment
-(Shapley and Scarf) is SP and Pareto-efficient over the full n=4 space, but
-fails complete exchange.
+(Shapley and Scarf) is SP, RI and Pareto-efficient over the full n=4 space
+(331,776 profiles, one mechanism run per 16**4 classes of profiles it cannot
+tell apart), but fails complete exchange.
 """
 
 import argparse
@@ -29,7 +30,7 @@ DEFAULT_PLAN = (
     ("cettc", "cee", 4), ("cettc", "sp", 4), ("cettc", "ri", 3),
     ("npb", "cee", 3), ("npb", "cee", 4), ("npb", "sp", 3), ("npb", "sp", 4), ("npb", "ri", 3),
     ("bttc", "ri", 3), ("bttc", "ce", 3),
-    ("ttc", "sp", 4), ("ttc", "pareto", 4), ("ttc", "ce", 3),
+    ("ttc", "sp", 4), ("ttc", "ri", 4), ("ttc", "pareto", 4), ("ttc", "ce", 3),
 )
 
 

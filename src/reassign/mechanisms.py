@@ -19,10 +19,10 @@ traces list events in that order.
 
 The ``MECHANISMS`` registry, keyed by tag, is the one place that knows each
 mechanism: how to bind its core to everything but the orders, whether it
-needs a partition, and whether it ignores where a division ranks its own
-worker.  ``run_traced`` and ``run_mechanism`` run any tag from it; the
-public ``run_*`` wrappers take a Problem and return (Assignment, Trace) or
-Assignment.
+needs a partition, whether it ignores where a division ranks its own worker,
+and which part of each order its core reads.  ``run_traced`` and
+``run_mechanism`` run any tag from it; the public ``run_*`` wrappers take a
+Problem and return (Assignment, Trace) or Assignment.
 """
 
 from __future__ import annotations
@@ -464,6 +464,11 @@ class Mechanism:
     worker, so sweeps cover own-last profiles only.  ``options``: the
     MechanismId fields the binder reads.  ``final_order``: the trace field
     whose sequence is the order the mechanism runs its dictatorship in.
+    ``reads(i, order, partition)``: the part of division i's order the core
+    reads, as a key; two profiles whose orders have equal keys division by
+    division get the same outcome, whatever the options and priority.
+    Sweeps run the core once per class of equal keys.  None: the core may
+    read all of every order.
     """
 
     bind: Callable
@@ -471,6 +476,7 @@ class Mechanism:
     reduced: bool = False
     options: tuple[str, ...] = ()
     final_order: str | None = None
+    reads: Callable | None = None
 
 
 def _bind_pools(core):
@@ -493,14 +499,28 @@ def _bind_sd(mid, n, priority, partition):
     return partial(_sd_groups_core, order, *_group_tables(partition))
 
 
+def _reads_pool(i, order, partition):
+    # every pick is _first_available over a subset of division i's pool
+    pool = partition.choice_set(i)
+    return tuple(w for w in order if w in pool)
+
+
+def _reads_through_own(i, order, partition):
+    # a division points at its own worker at the latest: that worker stays
+    # present until the division itself trades
+    return order[: order.index(i) + 1]
+
+
 MECHANISMS = {
-    "csd": Mechanism(_bind_pools(_csd_core), partition=True, reduced=True, final_order="chooser"),
-    "tsd": Mechanism(_bind_pools(_tsd_core), partition=True, reduced=True, final_order="worker"),
+    "csd": Mechanism(_bind_pools(_csd_core), partition=True, reduced=True, final_order="chooser",
+                     reads=_reads_pool),
+    "tsd": Mechanism(_bind_pools(_tsd_core), partition=True, reduced=True, final_order="worker",
+                     reads=_reads_pool),
     "cettc": Mechanism(_bind_cettc, reduced=True, options=("mu0", "seed")),
     "bttc": Mechanism(lambda *_: _bttc_core),
-    "ttc": Mechanism(lambda *_: _ttc_core),
+    "ttc": Mechanism(lambda *_: _ttc_core, reads=_reads_through_own),
     "npb": Mechanism(lambda mid, n, priority, _: partial(_npb_core, priority), reduced=True),
-    "sd": Mechanism(_bind_sd, partition=True, reduced=True, options=("order",)),
+    "sd": Mechanism(_bind_sd, partition=True, reduced=True, options=("order",), reads=_reads_pool),
 }
 
 MECHANISM_TAGS = tuple(MECHANISMS)

@@ -19,8 +19,24 @@ runner, applies the exhaustive cap and builds the report.  Every exhaustive
 check runs the mechanism through one block scan, ``_outcome_scan``: a block
 is the profiles that share their first two orders, and a kernel chosen per
 check reads each block's outcome codes.  ``jobs`` splits the blocks over
-forked workers after the parent has scanned the first.  Each check does only
-the work its verdict reads:
+forked workers after the parent has scanned the first; a worker that finds a
+violation notes it in shared memory, and the others stop before a block past
+it.
+
+The block scan runs the mechanism once per class of orders it cannot tell
+apart, not once per profile.  A registry entry's ``reads`` field names the
+part of division i's order its core reads: the prefix through the own
+worker for ttc, whose division never points past that worker because it
+stays present until the division trades (Shapley and Scarf 1974), and the
+order restricted to the division's group pool for csd, tsd and sd, whose
+every pick is the first available worker of a subset of that pool.  Two
+profiles whose orders agree on those parts, division by division, run the
+core through the same steps and get the same outcome, so a block's codes are
+gathered from a sub-table over one representative order per class, computed
+once per pair of head classes.  The test suite checks the fields against the
+cores over whole small spaces and on samples.  Witnesses are built by running
+the faulting profile itself.  Each check does only the work its verdict
+reads:
 
 * sp and ri are one deviation check: division i must not gain by its own
   misreport (sp) nor lose when the others raise its worker (ri).  A probe
@@ -682,21 +698,72 @@ def _ri_scan(lo, hi):
     return hi - lo, comparisons, None
 
 
+@lru_cache(maxsize=None)
+def _order_classes(space: _ProfileSpace, tag: str, partition):
+    """The classes of each division's orders that the mechanism cannot tell
+    apart: orders whose registry ``reads`` keys are equal, or one class per
+    order for a mechanism without that field.  Returns (cls, reps, index,
+    folds): cls[j][d] is the class of division j+1's order number d and
+    reps[j][c] the first order of class c.  The outcomes of a block are
+    gathered from a sub-table, the outcomes of the representatives of the
+    block's two head classes and of every class of the other divisions, in
+    enumeration order: index[k] is the sub-table entry of the block's k-th
+    profile, or index is None when the sub-table is the block itself.
+    ``folds``: two blocks can share head classes, hence a sub-table."""
+    reads = mechanism_entry(tag).reads
+    cls, reps = [], []
+    for i, orders in enumerate(space.orders, start=1):
+        keys = [o if reads is None else reads(i, o, partition) for o in orders]
+        first = {}  # key -> the first order that has it
+        for key, o in zip(keys, orders):
+            first.setdefault(key, o)
+        number = {key: c for c, key in enumerate(first)}
+        cls.append(tuple(map(number.__getitem__, keys)))
+        reps.append(tuple(first.values()))
+    index = None
+    if any(len(r) < space.radix for r in reps[2:]):
+        weights = [math.prod(map(len, reps[j + 1 :])) for j in range(2, space.n)]
+        index = tuple(sum(map(operator.mul, c, weights)) for c in itertools.product(*cls[2:]))
+    return tuple(cls), tuple(reps), index, any(len(r) < space.radix for r in reps[:2])
+
+
 def _outcome_scan(lo, hi):
     """Run the mechanism on blocks [lo, hi) of profiles, a block being the
     ``space.block`` consecutive profiles that share their first two orders,
     and hand each block's outcome codes to the sweep's kernel: ``first(codes,
     b)`` returns the offset of block b's first faulting profile or None.
-    Stops at the first faulting block; the sweep's fault function gives the
-    witness.  Returns (profiles_run, None, (index, witness) or None)."""
+
+    The mechanism runs once per class of orders it cannot tell apart
+    (``_order_classes``): a block's codes are gathered from the sub-table of
+    its head classes, computed on the classes' representatives once per
+    call.  Stops at the first faulting block, or, in a forked sweep, before
+    a block past the lowest faulting block any worker has found; the sweep's
+    fault function gives the witness from a run of the faulting profile
+    itself.  Returns (profiles_run, None, (index, witness) or None)."""
     space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
-    perms, code = _perm_codes(space.n)
+    code = _perm_codes(space.n)[1]
+    cls, reps, index, folds = _order_classes(space, runner.mid.tag, runner.partition)
+    lowest = _SWEEP.get("lowest")
+    subs = {}  # head classes -> sub-table, kept only while this call runs
     for b in range(lo, hi):
-        codes = bytes(map(code.__getitem__, map(runner, space.block_profiles(b))))
+        if lowest is not None and lowest.value < b:
+            return (b - lo) * space.block, None, None
+        head = tuple(c[d] for c, d in zip(cls, space.digits_of(b * space.block)[:2]))
+        sub = subs.get(head)
+        if sub is None:
+            profiles = itertools.product(*([r[c]] for r, c in zip(reps, head)), *reps[2:])
+            sub = bytes(map(code.__getitem__, map(runner, profiles)))
+            if folds:
+                subs[head] = sub
+        codes = sub if index is None else bytes(map(sub.__getitem__, index))
         k = first(codes, b)
         if k is not None:
+            if lowest is not None:
+                with lowest.get_lock():
+                    lowest.value = min(lowest.value, b)
             idx = b * space.block + k
-            wit = _SWEEP["fault"](runner, space.profile_at(idx), perms[codes[k]])
+            orders = space.profile_at(idx)
+            wit = _SWEEP["fault"](runner, orders, runner(orders))
             return idx - lo * space.block + 1, None, (idx, wit)
     return (hi - lo) * space.block, None, None
 
@@ -790,11 +857,14 @@ def _run_ranged(scan, size, jobs):
     read in chunk order and the pool is shut down at the first violation,
     which is minimal in enumeration order: every earlier chunk came back
     clean and each chunk stops at its first hit.  So reports are identical
-    for any job count.  The count scanned is meaningful only when no
-    violation is found; callers report the witness position otherwise.
-    Where the ``fork`` start method is unavailable the scan runs serially:
-    workers read the sweep state they inherit at fork, and fill the outcome
-    table through the shared memory it lives in.
+    for any job count.  ``_SWEEP["lowest"]``, shared by the workers, holds
+    the lowest violating unit found so far: a scan that notes its violation
+    there lets the chunks already handed out stop before their next unit
+    past it, whose results are never read.  The count scanned is meaningful
+    only when no violation is found; callers report the witness position
+    otherwise.  Where the ``fork`` start method is unavailable the scan runs
+    serially: workers read the sweep state they inherit at fork, and fill
+    the outcome table through the shared memory it lives in.
     """
     if jobs <= 1 or "fork" not in mp.get_all_start_methods():
         return scan(0, size)
@@ -802,12 +872,17 @@ def _run_ranged(scan, size, jobs):
     step = max(1, -(-(size - 1) // (jobs * 8)))
     chunks = [(lo, min(size, lo + step)) for lo in range(1, size, step)]
     if vio is None and chunks:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=mp.get_context("fork")) as pool:
-            for c, _, vio in pool.map(scan, *zip(*chunks)):
-                checked += c
-                if vio is not None:
-                    pool.shutdown(cancel_futures=True)
-                    break
+        fork = mp.get_context("fork")
+        _SWEEP["lowest"] = fork.Value("q", size)
+        try:
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
+                for c, _, vio in pool.map(scan, *zip(*chunks)):
+                    checked += c
+                    if vio is not None:
+                        pool.shutdown(cancel_futures=True)
+                        break
+        finally:
+            del _SWEEP["lowest"]
     return checked, None, vio
 
 

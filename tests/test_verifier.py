@@ -805,22 +805,49 @@ _RAN = mmap.mmap(-1, 17)
 
 
 def _faulting_first_chunk(lo, hi):
+    # a scan that keeps the fan-out's protocol, as _outcome_scan does: stop
+    # past the lowest violation noted, note its own
+    lowest = verifier._SWEEP.get("lowest")
+    if lowest is not None and lowest.value < lo:
+        return 0, None, None
     _RAN[lo] = 1
     if lo == 1:  # the first chunk past the parent's probe of unit 0
+        lowest.value = lo
         return hi - lo, None, (lo, "hit")
     if lo > 1:
-        time.sleep(0.2)
+        time.sleep(0.3)
     return hi - lo, None, None
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_fanout_stops_at_the_first_violation():
-    # 16 one-unit chunks on two workers: once the first chunk's violation is
-    # read, the chunks not yet handed to a worker are cancelled
+    # 16 one-unit chunks on two workers: once the first chunk notes its
+    # violation, only the chunk the other worker had already started runs;
+    # the chunks handed out later stop at once, the rest are cancelled
     _RAN[:] = bytes(17)
     assert verifier._run_ranged(_faulting_first_chunk, 17, 2) == (2, None, (1, "hit"))
     assert _RAN[0] == _RAN[1] == 1
-    assert sum(_RAN[2:]) < 8
+    assert sum(_RAN[2:]) <= 1
+    assert "lowest" not in verifier._SWEEP
+
+
+def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
+    # a forked scan whose next block lies past a violation another worker
+    # noted runs no further block; blocks up to the violation still run
+    runner = verifier._Runner(MechanismId("bttc"), 3)
+    space = verifier._space(3, False)
+    calls = []
+    monkeypatch.setattr(verifier._Runner, "__call__", lambda self, orders: calls.append(orders) or (1, 2, 3))
+    lowest = multiprocessing.get_context().Value("q", 4)
+    verifier._SWEEP.clear()
+    verifier._SWEEP.update(space=space, runner=runner, first=lambda codes, b: None, lowest=lowest)
+    try:
+        assert verifier._outcome_scan(5, 9) == (0, None, None)
+        assert calls == []
+        assert verifier._outcome_scan(2, 9) == (3 * space.block, None, None)
+        assert len(calls) == 3 * space.block
+    finally:
+        verifier._SWEEP.clear()
 
 
 def test_outcome_table_is_the_same_for_any_jobs():
