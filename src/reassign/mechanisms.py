@@ -466,9 +466,11 @@ class Mechanism:
     whose sequence is the order the mechanism runs its dictatorship in.
     ``reads(i, order, partition)``: the part of division i's order the core
     reads, as a key; two profiles whose orders have equal keys division by
-    division get the same outcome, whatever the options and priority.
-    Sweeps run the core once per class of equal keys.  None: the core may
-    read all of every order.
+    division get the same outcome, whatever the options and priority.  The
+    classes of equal keys index a sweep's class table: the sweep runs the
+    core on one representative order per class and fills that table by
+    outcome boxes of class profiles.  None: the core may read all of every
+    order, and every order is its own class.
     """
 
     bind: Callable

@@ -23,20 +23,25 @@ forked workers after the parent has scanned the first; a worker that finds a
 violation notes it in shared memory, and the others stop before a block past
 it.
 
-The block scan runs the mechanism once per class of orders it cannot tell
-apart, not once per profile.  A registry entry's ``reads`` field names the
-part of division i's order its core reads: the prefix through the own
-worker for ttc, whose division never points past that worker because it
+The block scan runs the mechanism once per box of profiles that must share
+an outcome, not once per profile.  First, a registry entry's ``reads`` field
+names the part of division i's order its core reads: the prefix through the
+own worker for ttc, whose division never points past that worker because it
 stays present until the division trades (Shapley and Scarf 1974), and the
 order restricted to the division's group pool for csd, tsd and sd, whose
-every pick is the first available worker of a subset of that pool.  Two
-profiles whose orders agree on those parts, division by division, run the
-core through the same steps and get the same outcome, so a block's codes are
-gathered from a sub-table over one representative order per class, computed
-once per pair of head classes.  The test suite checks the fields against the
-cores over whole small spaces and on samples.  Witnesses are built by running
-the faulting profile itself.  Each check does only the work its verdict
-reads:
+every pick is the first available worker of a subset of that pool.  Orders
+with equal parts form a class, and the sweep keeps a class table, one byte
+per profile of class representatives.  Second, the table is filled by
+outcome boxes: every profile that agrees with a run profile, division by
+division, down to the worker its outcome gives that division gets the same
+outcome, so one core run fills a whole box of class profiles.  Neither fold
+is assumed: the test suite compares the filled table with one core run per
+profile on every space a sweep uses, and checks both folds on samples above.
+The box fold is not a theorem for tsd: once a group holds three divisions
+(n >= 6, past the sweeps' cap) a division's stage-1 nomination can lie past
+the worker it receives and change the outcome.  Witnesses are built by
+running the faulting profile itself.  Each check does only the work its
+verdict reads:
 
 * sp and ri are one deviation check: division i must not gain by its own
   misreport (sp) nor lose when the others raise its worker (ri).  A probe
@@ -518,7 +523,7 @@ def _outcome_table(runner: _Runner, space: _ProfileSpace, jobs=1):
     def fill(codes, b):
         table[b * block : (b + 1) * block] = codes
 
-    _SWEEP.update(runner=runner, space=space, table=table, first=fill)
+    _SWEEP.update(runner=runner, space=space, table=table, first=fill, classes=None)
     _run_ranged(_outcome_scan, space.size // block, jobs)
     return table
 
@@ -703,13 +708,17 @@ def _order_classes(space: _ProfileSpace, tag: str, partition):
     """The classes of each division's orders that the mechanism cannot tell
     apart: orders whose registry ``reads`` keys are equal, or one class per
     order for a mechanism without that field.  Returns (cls, reps, index,
-    folds): cls[j][d] is the class of division j+1's order number d and
-    reps[j][c] the first order of class c.  The outcomes of a block are
-    gathered from a sub-table, the outcomes of the representatives of the
-    block's two head classes and of every class of the other divisions, in
-    enumeration order: index[k] is the sub-table entry of the block's k-th
-    profile, or index is None when the sub-table is the block itself.
-    ``folds``: two blocks can share head classes, hence a sub-table."""
+    boxes).  cls[j][d] is the class of division j+1's order number d and
+    reps[j][c] the first order of class c, so each reps[j] is sorted.
+
+    The class table numbers class profiles as the space numbers profiles, by
+    their class digits.  A block's outcomes are gathered from the entries of
+    its two head classes: index[k] is the entry, counted from the first of
+    them, of the block's k-th profile, or index is None when those entries
+    are the block itself.  boxes[j][c][w] is the range of table offsets of
+    division j+1's digit over the classes whose representative agrees with
+    reps[j][c] down to worker w: sorted representatives that share a prefix
+    are consecutive."""
     reads = mechanism_entry(tag).reads
     cls, reps = [], []
     for i, orders in enumerate(space.orders, start=1):
@@ -720,11 +729,62 @@ def _order_classes(space: _ProfileSpace, tag: str, partition):
         number = {key: c for c, key in enumerate(first)}
         cls.append(tuple(map(number.__getitem__, keys)))
         reps.append(tuple(first.values()))
+    weights = [math.prod(map(len, reps[j + 1 :])) for j in range(space.n)]
     index = None
     if any(len(r) < space.radix for r in reps[2:]):
-        weights = [math.prod(map(len, reps[j + 1 :])) for j in range(2, space.n)]
-        index = tuple(sum(map(operator.mul, c, weights)) for c in itertools.product(*cls[2:]))
-    return tuple(cls), tuple(reps), index, any(len(r) < space.radix for r in reps[:2])
+        index = tuple(sum(map(operator.mul, c, weights[2:])) for c in itertools.product(*cls[2:]))
+    boxes = []
+    for rs, wt in zip(reps, weights):
+        span = {}  # prefix -> (first class, last class + 1) that has it
+        for c, r in enumerate(rs):
+            for k in range(1, len(r) + 1):
+                span[r[:k]] = (span.get(r[:k], (c,))[0], c + 1)
+        boxes.append(tuple(
+            {w: range(*(x * wt for x in span[r[: k + 1]]), wt) for k, w in enumerate(r)}
+            for r in rs
+        ))
+    return tuple(cls), tuple(reps), index, tuple(boxes)
+
+
+def _fill_boxes(table, pos, end, runner, reps, boxes):
+    """Fill the unfilled entries (0xFF) in [pos, end) of a class table.
+
+    Let m be the outcome of a profile.  Every profile whose orders agree
+    with it, division by division, down to the worker m gives that division
+    gets m too: the equal-prefix case of Maskin monotonicity (Takamiya,
+    "Coalition strategy-proofness and monotonicity in Shapley-Scarf housing
+    markets", Math. Soc. Sci. 2001).  It is checked per mechanism, not
+    derived, and tsd fails it once a group holds three divisions.  So the
+    representatives of the first unfilled entry run the core once, and its
+    code goes over the entry's whole box, a product of class ranges written
+    as one strided slice along the longest range per entry of the others.
+    Boxes of one outcome are equal or disjoint, so a box that meets a filled
+    entry meets another outcome: the fold fails for this mechanism, and the
+    fill raises rather than let a sweep read a wrong table."""
+    code = _perm_codes(len(reps))[1]
+    weights = [math.prod(map(len, reps[j + 1 :])) for j in range(len(reps))]
+    while (pos := table.find(0xFF, pos, end)) >= 0:
+        digits, rest = [], pos
+        for wt in weights:
+            d, rest = divmod(rest, wt)
+            digits.append(d)
+        orders = tuple(map(tuple.__getitem__, reps, digits))
+        m = runner(orders)
+        ranges = [boxes[j][d][w] for j, (d, w) in enumerate(zip(digits, m))]
+        long = max(ranges, key=len)
+        ranges.remove(long)  # equal ranges hold the same offsets: either may go
+        starts = [long.start]
+        for r in ranges:
+            starts = [s + k for s in starts for k in r]
+        blank, fill = b"\xff" * len(long), bytes((code[m],)) * len(long)
+        for s in starts:
+            run = slice(s, s + len(long) * long.step, long.step)
+            if table[run] != blank:
+                raise RuntimeError(
+                    f"outcome-prefix fold fails for {runner.label()}: the box of profile "
+                    f"{orders}, outcome {m}, meets another outcome"
+                )
+            table[run] = fill
 
 
 def _outcome_scan(lo, hi):
@@ -733,29 +793,32 @@ def _outcome_scan(lo, hi):
     and hand each block's outcome codes to the sweep's kernel: ``first(codes,
     b)`` returns the offset of block b's first faulting profile or None.
 
-    The mechanism runs once per class of orders it cannot tell apart
-    (``_order_classes``): a block's codes are gathered from the sub-table of
-    its head classes, computed on the classes' representatives once per
-    call.  Stops at the first faulting block, or, in a forked sweep, before
-    a block past the lowest faulting block any worker has found; the sweep's
-    fault function gives the witness from a run of the faulting profile
-    itself.  Returns (profiles_run, None, (index, witness) or None)."""
+    The codes come from the sweep's class table, one byte per class profile
+    of ``_order_classes``, which ``_fill_boxes`` fills by outcome boxes, one
+    core run on class representatives per box.  Before a block is gathered
+    only the entries of its two head classes are filled, so a check that
+    faults early pays for little of the table; forked workers keep filling
+    the table they inherit.  The table lasts one sweep.  Stops at the first
+    faulting block, or, in a forked sweep, before a block past the lowest
+    faulting block any worker has found; the sweep's fault function gives
+    the witness from a run of the faulting profile itself.  Returns
+    (profiles_run, None, (index, witness) or None)."""
     space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
-    code = _perm_codes(space.n)[1]
-    cls, reps, index, folds = _order_classes(space, runner.mid.tag, runner.partition)
+    cls, reps, index, boxes = _order_classes(space, runner.mid.tag, runner.partition)
+    table = _SWEEP.get("classes")
+    if table is None:
+        table = _SWEEP["classes"] = bytearray(b"\xff") * math.prod(map(len, reps))
+    inner = math.prod(map(len, reps[2:]))
+    gather = None if index is None else operator.itemgetter(*index)
     lowest = _SWEEP.get("lowest")
-    subs = {}  # head classes -> sub-table, kept only while this call runs
     for b in range(lo, hi):
         if lowest is not None and lowest.value < b:
             return (b - lo) * space.block, None, None
-        head = tuple(c[d] for c, d in zip(cls, space.digits_of(b * space.block)[:2]))
-        sub = subs.get(head)
-        if sub is None:
-            profiles = itertools.product(*([r[c]] for r, c in zip(reps, head)), *reps[2:])
-            sub = bytes(map(code.__getitem__, map(runner, profiles)))
-            if folds:
-                subs[head] = sub
-        codes = sub if index is None else bytes(map(sub.__getitem__, index))
+        d0, d1 = space.digits_of(b * space.block)[:2]
+        start = (cls[0][d0] * len(reps[1]) + cls[1][d1]) * inner
+        _fill_boxes(table, start, start + inner, runner, reps, boxes)
+        sub = table[start : start + inner]
+        codes = sub if gather is None else bytes(gather(sub))
         k = first(codes, b)
         if k is not None:
             if lowest is not None:

@@ -1,15 +1,25 @@
-"""Sweeps run each mechanism once per class of orders it cannot tell apart.
+"""Sweeps run each mechanism once per outcome box of class profiles.
 
 A registry entry's ``reads`` field names the part of division i's order its
-core reads.  The soundness twins here check that claim against the cores
-themselves: every profile gets the outcome of its classes' representatives,
-exhaustively at small n and on sampled profiles above.  The differential
-guards check that the outcome table gathered from class sub-tables is the
-table of one core run per profile, for any job count.
+core reads, and the sweep's class table has one entry per profile of class
+representatives.  The soundness twins here check that claim against the
+cores themselves: every profile gets the outcome of its classes'
+representatives, exhaustively at small n and on sampled profiles above.
+
+The class table is filled by outcome boxes: every profile that agrees with
+a run profile, division by division, down to the worker its outcome gives
+that division gets that outcome too.  The twin of the fill is the table of
+one core run per profile.  On a space where the two are equal the fold holds
+exactly: every profile lies in the box of the representative that filled it,
+so it gets that representative's outcome and shares its prefixes.  The
+twins compare them on every space a sweep uses at n <= 4, for any job count,
+and check the fold on sampled boxes above.  A core that reads past its
+received worker fails them.
 """
 
 import itertools
 import multiprocessing
+import operator
 import random
 from collections import defaultdict
 
@@ -187,29 +197,189 @@ def test_gathered_table_equals_one_run_per_profile(n, monkeypatch):
         assert tables_for_any_jobs(runner, space, monkeypatch) == [expected] * 3, runner.label()
 
 
+# -- the outcome-box fill against one core run per profile ---------------------------
+
+
+def filled_table(runner, space):
+    table = bytes(verifier._outcome_table(runner, space, 1))
+    verifier._SWEEP.clear()
+    return table
+
+
+def assert_fill_is_exact(runner, space):
+    try:
+        expected = reference_table(runner, space)
+    except Infeasible:  # npb needs three divisions
+        return
+    assert filled_table(runner, space) == expected, (runner.label(), space.reduced)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_prefix_filled_table_equals_one_run_per_profile(tag, n):
+    # each tag's own space, and the reduced space, which own-position sweeps
+    # for every tag: at full n=4 that is ttc and bttc, bttc's direct table
+    # being the slowest here (331,776 runs of its core)
+    for reduced in sorted({MECHANISMS[tag].reduced, True}):
+        assert_fill_is_exact(verifier._Runner(MechanismId(tag), n), verifier._space(n, reduced))
+
+
+@pytest.mark.parametrize("tag", POOL_TAGS)
+def test_prefix_fill_under_every_partition_and_priority(tag):
+    # every pair for tsd, whose fold fails at larger n (see below); for csd
+    # and sd every partition under the identity priority and every priority
+    # under the canonical partition
+    space = verifier._space(4, True)
+    priorities = list(itertools.permutations(range(1, 5)))
+    pairs = [(partition, None) for partition in all_assignment_partitions(4)]
+    pairs += [(None, priority) for priority in priorities]
+    if tag == "tsd":
+        pairs = list(itertools.product(all_assignment_partitions(4), priorities))
+    for partition, priority in pairs:
+        assert_fill_is_exact(verifier._Runner(MechanismId(tag), 4, partition, priority), space)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_prefix_fill_under_mechanism_options(n):
+    # every initial swap cettc can be given, so every seeded one too
+    space = verifier._space(n, True)
+    mids = [MechanismId("sd", order=tuple(range(n, 0, -1)))]
+    mids += [MechanismId("cettc", mu0=mu0) for mu0 in verifier.derangements(n)]
+    for mid in mids:
+        assert_fill_is_exact(verifier._Runner(mid, n), space)
+
+
+def box_twin(order, i, received, reduced, rng):
+    """An order that keeps ``order`` down to the received worker and
+    shuffles the rest, own worker still last on the reduced space."""
+    k = order.index(received) + 1
+    rest = [w for w in order[k:] if not (reduced and w == i)]
+    rng.shuffle(rest)
+    return order[:k] + tuple(rest) + ((i,) if reduced and k < len(order) else ())
+
+
+# group sizes of the partitions the sampled fold check draws; a group of
+# three divisions needs three other divisions' workers, so n >= 6
+FOLD_SIZES = {
+    5: ([1, 2, 2], [1, 1, 1, 2], [1, 1, 1, 1, 1]),
+    6: ([3, 3], [1, 2, 3], [2, 2, 2], [1, 1, 2, 2]),
+    7: ([1, 3, 3], [1, 2, 2, 2], [1, 1, 1, 2, 2]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_TAGS), st.integers(5, 7), st.data(), st.randoms(use_true_random=False))
+def test_outcome_box_shares_the_outcome_sampled(tag, n, data, rng):
+    # tsd only where no group holds three divisions: see the next test
+    reduced = MECHANISMS[tag].reduced or data.draw(st.booleans())
+    priority = tuple(data.draw(st.permutations(range(1, n + 1))))
+    sizes = [s for s in FOLD_SIZES[n] if tag != "tsd" or max(s) < 3]
+    partition = largest_first_construct(blocks_from_sizes(data.draw(st.sampled_from(sizes))))
+    mid = MechanismId(tag)
+    if tag == "cettc" and data.draw(st.booleans()):
+        mid = MechanismId("cettc", mu0="random", seed=data.draw(st.integers(0, 2**16)))
+    runner = verifier._Runner(mid, n, partition, priority)
+    orders = verifier._sample_orders(rng, n, reduced)
+    m = runner(orders)
+    for _ in range(10):
+        twin = tuple(box_twin(o, i, m[i - 1], reduced, rng) for i, o in enumerate(orders, start=1))
+        assert runner(twin) == m, (orders, twin)
+
+
+def test_tsd_fold_fails_with_a_group_of_three():
+    # T-SD's final priority is the owners of the stage-1 nominations, and a
+    # division may nominate a worker past the one it receives.  With groups
+    # of at most two divisions, as at every n a sweep allows, neither the
+    # samples nor the exhaustive twins have found that to matter; with a
+    # group of three it does.  Division 2 receives 5, its first worker, in
+    # both profiles, but division 1 nominates 5 before it, so division 2
+    # nominates whichever of 4 and 6 it ranks next; that worker's owner
+    # takes its place in the final priority, and divisions 4 and 6 end up
+    # with each other's workers.
+    partition = largest_first_construct(blocks_from_sizes([3, 3]))
+    runner = verifier._Runner(MechanismId("tsd"), 6, partition, (4, 5, 6, 1, 2, 3))
+    orders = [(5, 2, 6, 4, 3, 1), (5, 1, 4, 6, 3, 2), (2, 4, 6, 1, 5, 3),
+              (2, 3, 6, 5, 1, 4), (4, 2, 3, 1, 6, 5), (2, 3, 4, 1, 5, 6)]
+    assert runner(tuple(orders)) == (6, 5, 4, 3, 2, 1)
+    orders[1] = (5, 1, 6, 4, 3, 2)
+    assert runner(tuple(orders)) == (6, 5, 4, 1, 2, 3)
+
+
+def peeking_ttc(runner, past):
+    """ttc, except that divisions 2 and 3 swap their workers when the worker
+    division 1 ranks right after its own received one passes ``past``."""
+    ttc = runner.core
+
+    def core(orders):
+        m, steps = ttc(orders)
+        k = orders[0].index(m[0]) + 1
+        if k < len(orders[0]) and past(orders[0][k], m[0]):
+            m = (m[0], m[2], m[1]) + m[3:]
+        return m, steps
+
+    return core
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_fill_fails_for_a_core_that_reads_past_the_received_worker(n, monkeypatch):
+    # the fold is checked, not assumed: a core whose outcome depends on a
+    # worker past the one a division receives trips the fill's conflict
+    # guard or, where no two boxes meet, makes the twins differ
+    space = verifier._space(n, False)
+    raised = []
+    for past in (operator.gt, operator.lt):
+        runner = verifier._Runner(MechanismId("ttc"), n)
+        monkeypatch.setattr(runner, "core", peeking_ttc(runner, past))
+        try:
+            table = filled_table(runner, space)
+        except RuntimeError as e:
+            assert "outcome-prefix fold fails for ttc" in str(e)
+            raised.append(past)
+            verifier._SWEEP.clear()
+        else:
+            assert table != reference_table(runner, space)
+    assert raised  # the guard itself can fire
+
+
+def counting_runs(monkeypatch):
+    """A list that collects the orders of every core run from now on."""
+    runs = []
+    call = verifier._Runner.__call__
+    monkeypatch.setattr(verifier._Runner, "__call__", lambda self, orders: runs.append(orders) or call(self, orders))
+    return runs
+
+
+# without a reads field every order is its own class, and the fill still
+# runs the core once per outcome box: (check, core runs measured at n=4)
+WHOLE_ORDER_RUNS = {"bttc": ("sp", 6576), "cettc": ("sp", 369), "npb": ("pareto", 201)}
+
+
 @pytest.mark.parametrize("tag,reduced", [("bttc", False), ("cettc", True), ("npb", True)])
-def test_whole_order_mechanisms_run_once_per_profile(tag, reduced):
-    # without a reads field every order is its own class: no gather, no
-    # sub-table kept, so the scan runs the core on each profile of a block
+def test_whole_order_mechanisms_run_once_per_outcome_box(tag, reduced, monkeypatch):
     space = verifier._space(4, reduced)
-    cls, reps, index, folds = verifier._order_classes(space, tag, None)
-    assert cls == (tuple(range(space.radix)),) * 4 and reps == space.orders
-    assert index is None and not folds
+    cls, reps, index, _ = verifier._order_classes(space, tag, None)
+    assert cls == (tuple(range(space.radix)),) * 4 and reps == space.orders and index is None
+    prop, most = WHOLE_ORDER_RUNS[tag]
+    runs = counting_runs(monkeypatch)
+    report = verifier.CHECKS[prop](tag, 4)
+    assert report.holds and report.checked == space.size
+    assert len(runs) <= most < space.size // 3
 
 
 def test_ttc_sp_runs_the_core_once_per_class_profile(monkeypatch):
-    # 16 classes per division at full n=4: the sweep runs the core on 16**4
-    # class profiles, besides the probe's pairwise scan over the first 24
-    # base profiles and each one's 4 * 23 misreports
-    calls = 0
-    call = verifier._Runner.__call__
-
-    def counted(self, orders):
-        nonlocal calls
-        calls += 1
-        return call(self, orders)
-
-    monkeypatch.setattr(verifier._Runner, "__call__", counted)
+    # at most once per class profile, 16**4 at full n=4, and in fact once
+    # per outcome box, 3,840 of them; besides, the probe's pairwise scan
+    # over the first 24 base profiles runs 1,680 distinct profiles: the 24
+    # bases and 23 misreports of each by divisions 1 to 3 (division 4's
+    # misreports are bases)
+    runs = counting_runs(monkeypatch)
     report = verifier.check_sp("ttc", 4)
     assert report.holds and report.checked == 24**4
-    assert calls <= 16**4 + 24 * (1 + 4 * 23)
+    assert len(runs) <= 3840 + 24 + 24 * 3 * 23 < 16**4
+
+
+def test_ttc_pareto_runs_the_core_once_per_outcome_box(monkeypatch):
+    runs = counting_runs(monkeypatch)
+    report = verifier.check_pareto("ttc", 4)
+    assert report.holds and report.checked == 24**4
+    assert len(runs) == len(set(runs)) == 3840

@@ -833,7 +833,8 @@ def test_fanout_stops_at_the_first_violation():
 
 def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
     # a forked scan whose next block lies past a violation another worker
-    # noted runs no further block; blocks up to the violation still run
+    # noted runs no further block; blocks up to the violation still run,
+    # each filling its head entries of the class table by outcome boxes
     runner = verifier._Runner(MechanismId("bttc"), 3)
     space = verifier._space(3, False)
     calls = []
@@ -845,7 +846,9 @@ def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
         assert verifier._outcome_scan(5, 9) == (0, None, None)
         assert calls == []
         assert verifier._outcome_scan(2, 9) == (3 * space.block, None, None)
-        assert len(calls) == 3 * space.block
+        heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
+        assert 2 in heads and heads <= {2, 3, 4}
+        assert 0xFF not in verifier._SWEEP["classes"][2 * space.block : 5 * space.block]
     finally:
         verifier._SWEEP.clear()
 
