@@ -41,6 +41,7 @@ from .model import (
     Problem,
     Trace,
     TraceStep,
+    _check_permutation,
 )
 from .partition import canonical_partition
 
@@ -498,6 +499,7 @@ def _bind_sd(mid, n, priority, partition):
     # Baseline: serial dictatorship within groups under a fixed exogenous
     # order (no endogenous order stage).
     order = tuple(mid.order) if mid.order else priority
+    _check_permutation(order, n, "sd order")
     return partial(_sd_groups_core, order, *_group_tables(partition))
 
 

@@ -36,12 +36,14 @@ outcome boxes: every profile that agrees with a run profile, division by
 division, down to the worker its outcome gives that division gets the same
 outcome, so one core run fills a whole box of class profiles.  Neither fold
 is assumed: the test suite compares the filled table with one core run per
-profile on every space a sweep uses, and checks both folds on samples above.
+profile on every space a sweep uses, the own-position check's full-space
+table among them, and checks both folds on samples above.
 The box fold is not a theorem for tsd: once a group holds three divisions
 (n >= 6, past the sweeps' cap) a division's stage-1 nomination can lie past
 the worker it receives and change the outcome.  Witnesses are built by
-running the faulting profile itself.  Each check does only the work its
-verdict reads:
+running the faulting profile itself, and a profile a kernel flags that its
+direct runs clear stops the sweep with an error: a fold has failed.  Each
+check does only the work its verdict reads:
 
 * sp and ri are one deviation check: division i must not gain by its own
   misreport (sp) nor lose when the others raise its worker (ri).  A probe
@@ -58,8 +60,14 @@ verdict reads:
 * ce, cee, eap, pareto and own-position build no whole table and stop at
   their first faulting block.  The kernel of ce, cee, eap and pareto
   translates a block's codes to envy masks and peels all its envy graphs at
-  once with int operations; own-position's runs the check's fault function
-  on each profile of the block.  The fault function builds the witness.
+  once with int operations.  own-position sweeps own-last bases, whose
+  moved profiles lie in the full space: its kernel reads their outcomes
+  from a second class table over the full space, filled by outcome boxes
+  as the moves reach it.  Its classes and boxes keep every division's own
+  worker where it is, so no entry a moved profile reads comes from a run
+  of a profile with that own worker elsewhere, its base among them: the
+  check tests the invariance the folds would otherwise assume.  The
+  check's fault function builds the witness from direct runs.
 
 A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
@@ -126,6 +134,8 @@ class Scope:
             raise MalformedProblem(f"unknown scope kind {self.kind!r}")
         if self.kind == "sampled" and (self.count is None or self.seed is None):
             raise MalformedProblem("sampled scopes need count and seed")
+        if self.kind == "sampled" and self.count < 0:
+            raise MalformedProblem(f"sampled scopes need a count >= 0, got {self.count}")
 
     def to_dict(self):
         d = {"kind": self.kind, "n": self.n}
@@ -457,11 +467,6 @@ class _ProfileSpace:
     def profile_at(self, idx: int):
         return tuple(self.orders[j][d] for j, d in enumerate(self.digits_of(idx)))
 
-    def block_profiles(self, b: int):
-        """The profiles of block b, in enumeration order."""
-        head = zip(self.orders, self.digits_of(b * self.block)[:2])
-        return itertools.product(*([lst[d]] for lst, d in head), *self.orders[2:])
-
 
 @lru_cache(maxsize=None)
 def _space(n: int, reduced: bool) -> _ProfileSpace:
@@ -704,7 +709,7 @@ def _ri_scan(lo, hi):
 
 
 @lru_cache(maxsize=None)
-def _order_classes(space: _ProfileSpace, tag: str, partition):
+def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
     """The classes of each division's orders that the mechanism cannot tell
     apart: orders whose registry ``reads`` keys are equal, or one class per
     order for a mechanism without that field.  Returns (cls, reps, index,
@@ -718,30 +723,42 @@ def _order_classes(space: _ProfileSpace, tag: str, partition):
     are the block itself.  boxes[j][c][w] is the range of table offsets of
     division j+1's digit over the classes whose representative agrees with
     reps[j][c] down to worker w: sorted representatives that share a prefix
-    are consecutive."""
+    are consecutive.
+
+    With ``own_apart`` a class also keeps the position of the division's
+    own worker, classes are numbered by that position first, and a box
+    holds only the classes whose own worker sits where reps[j][c] has it.
+    So no box holds two profiles that rank an own worker at different
+    positions, and a table filled by these boxes never equates a profile
+    with one whose own worker moved: the own-position check's table."""
     reads = mechanism_entry(tag).reads
     cls, reps = [], []
     for i, orders in enumerate(space.orders, start=1):
         keys = [o if reads is None else reads(i, o, partition) for o in orders]
+        if own_apart:
+            keys = [(key, o.index(i)) for key, o in zip(keys, orders)]
         first = {}  # key -> the first order that has it
         for key, o in zip(keys, orders):
             first.setdefault(key, o)
+        if own_apart:  # stable: orders stay sorted within an own position
+            first = dict(sorted(first.items(), key=lambda item: item[1].index(i)))
         number = {key: c for c, key in enumerate(first)}
         cls.append(tuple(map(number.__getitem__, keys)))
         reps.append(tuple(first.values()))
     weights = [math.prod(map(len, reps[j + 1 :])) for j in range(space.n)]
     index = None
-    if any(len(r) < space.radix for r in reps[2:]):
+    if any(c != tuple(range(space.radix)) for c in cls[2:]):
         index = tuple(sum(map(operator.mul, c, weights[2:])) for c in itertools.product(*cls[2:]))
     boxes = []
-    for rs, wt in zip(reps, weights):
-        span = {}  # prefix -> (first class, last class + 1) that has it
-        for c, r in enumerate(rs):
+    for i, (rs, wt) in enumerate(zip(reps, weights), start=1):
+        heads = [(r.index(i) if own_apart else None, r) for r in rs]
+        span = {}  # (own position or None, prefix) -> (first class, last class + 1) that has it
+        for c, (g, r) in enumerate(heads):
             for k in range(1, len(r) + 1):
-                span[r[:k]] = (span.get(r[:k], (c,))[0], c + 1)
+                span[g, r[:k]] = (span.get((g, r[:k]), (c,))[0], c + 1)
         boxes.append(tuple(
-            {w: range(*(x * wt for x in span[r[: k + 1]]), wt) for k, w in enumerate(r)}
-            for r in rs
+            {w: range(*(x * wt for x in span[g, r[: k + 1]]), wt) for k, w in enumerate(r)}
+            for g, r in heads
         ))
     return tuple(cls), tuple(reps), index, tuple(boxes)
 
@@ -801,8 +818,9 @@ def _outcome_scan(lo, hi):
     the table they inherit.  The table lasts one sweep.  Stops at the first
     faulting block, or, in a forked sweep, before a block past the lowest
     faulting block any worker has found; the sweep's fault function gives
-    the witness from a run of the faulting profile itself.  Returns
-    (profiles_run, None, (index, witness) or None)."""
+    the witness from a run of the faulting profile itself, and the scan
+    raises if it finds none there.  Returns (profiles_run, None, (index,
+    witness) or None)."""
     space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
     cls, reps, index, boxes = _order_classes(space, runner.mid.tag, runner.partition)
     table = _SWEEP.get("classes")
@@ -827,6 +845,11 @@ def _outcome_scan(lo, hi):
             idx = b * space.block + k
             orders = space.profile_at(idx)
             wit = _SWEEP["fault"](runner, orders, runner(orders))
+            if wit is None:
+                raise RuntimeError(
+                    f"a fold fails for {runner.label()}: the sweep's kernel flags profile "
+                    f"{orders}, which direct runs clear"
+                )
             return idx - lo * space.block + 1, None, (idx, wit)
     return (hi - lo) * space.block, None, None
 
@@ -900,14 +923,51 @@ def _block_kernel(space: _ProfileSpace, outside, allowed):
     return first
 
 
-def _fault_kernel(space: _ProfileSpace, runner: _Runner, fault):
-    """The kernel of a check with no test over outcome codes: ``fault`` runs
-    on each of the block's profiles in turn."""
-    perms = _perm_codes(space.n)[0]
+def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
+    """The kernel of the own-position check, for ``_outcome_scan`` over the
+    reduced space.
+
+    A base profile's moved profiles, one division's own worker moved to
+    another position, lie in the full space, so the kernel keeps a second
+    class table over the full space, with classes and boxes that keep every
+    own worker's position (``own_apart``).  It is filled by ``_fill_boxes``
+    one unfilled entry at a time as a moved profile reads it, so a moved
+    profile's outcome comes from a run of a profile that ranks every own
+    worker where it does, never from its base's box: the check does not
+    assume the invariance it tests.  The kernel compares each base's code
+    with the entries of its moved profiles.  at[j][d] is the full-space
+    table offset of division j+1's reduced order number d, and moves[j][d]
+    the differences to the offsets of that order with its own worker at
+    each other position.  The returned ``first(codes, b)`` gives the offset
+    of block b's first base with a moved profile of another outcome, or
+    None.
+    """
+    n, full = space.n, _space(space.n, False)
+    cls, reps, _, boxes = _order_classes(full, runner.mid.tag, runner.partition, True)
+    table = bytearray(b"\xff") * math.prod(map(len, reps))
+    at, moves = [], []
+    for j, orders in enumerate(space.orders):
+        wt = math.prod(map(len, reps[j + 1 :]))
+        offset = {o: c * wt for o, c in zip(full.orders[j], cls[j])}
+        at.append([offset[o] for o in orders])
+        moves.append([
+            tuple(offset[o[:q] + o[-1:] + o[q:-1]] - offset[o] for q in range(n - 1)) for o in orders
+        ])
+
+    inner = tuple(itertools.product(range(space.radix), repeat=n - 2))  # in block order
 
     def first(codes, b):
-        pairs = enumerate(zip(space.block_profiles(b), codes))
-        return next((k for k, (o, c) in pairs if fault(runner, o, perms[c]) is not None), None)
+        head = space.digits_of(b * space.block)[:2]
+        for k, digits in enumerate(head + t for t in inner):
+            base = sum(map(list.__getitem__, at, digits))
+            for j, d in enumerate(digits):
+                for e in moves[j][d]:
+                    e += base
+                    if table[e] == 0xFF:
+                        _fill_boxes(table, e, e + 1, runner, reps, boxes)
+                    if table[e] != codes[k]:
+                        return k
+        return None
 
     return first
 
@@ -1116,7 +1176,7 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
     serves every such property when sampled, and one sweep when exhaustive:
     ``_outcome_scan`` over the space's blocks through ``_run_ranged``, with
     the ``_block_kernel`` of the property's class for those in ``_CLASSES``
-    and ``fault`` on each profile for the others.  Both cover the
+    and ``_own_position_kernel`` for own-position.  Both cover the
     mechanism's own space unless ``spaces`` gives (sampled reduced, swept
     reduced).
     """
@@ -1136,7 +1196,7 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
         if prop in _CLASSES:
             first = _block_kernel(space, *_CLASSES[prop](runner.partition))
         else:
-            first = _fault_kernel(space, runner, fault)
+            first = _own_position_kernel(space, runner)
         _SWEEP.clear()
         _SWEEP.update(space=space, runner=runner, fault=fault, first=first)
         try:
@@ -1248,11 +1308,19 @@ def check_own_position_invariance(
     """Moving one division's own worker around its own order never changes
     the outcome.
 
-    Samples draw full profiles; the exhaustive sweep starts from own-last
-    profiles.  Either way one division's own worker moves at a time, so a
-    pass does not show that own-last sweeps equal full-space ones: ``bttc``
-    passes at n=3 and n=4, yet ((1,2,3),(2,1,3),(3,1,2)) has another outcome
-    than its own-last form ((2,3,1),(1,3,2),(1,2,3)).
+    Samples draw full profiles and run every moved profile directly.  The
+    exhaustive sweep starts from own-last profiles and reads the outcomes of
+    their moved profiles from a full-space class table filled by outcome
+    boxes (``_own_position_kernel``) whose classes and boxes keep each own
+    worker's position, so a moved profile's outcome comes from a run that
+    ranks the own workers as it does, never from its base; the sweep relies
+    on the ``reads`` and box folds within one placement of the own workers,
+    which the test suite checks against direct runs at every n the sweep
+    allows.  A faulting base's witness is built from direct runs.  Either
+    way one division's own worker moves at a time, so a pass does not show
+    that own-last sweeps equal full-space ones: ``bttc`` passes at n=3 and
+    n=4, yet ((1,2,3),(2,1,3),(3,1,2)) has another outcome than its
+    own-last form ((2,3,1),(1,3,2),(1,2,3)).
     """
     return _profile_check(
         "own-position", _own_position_fault, mechanism, n, scope, partition, priority, jobs,

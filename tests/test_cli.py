@@ -208,6 +208,30 @@ def test_run_rejects_malformed_problem(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", str(PROBLEMS / "intro.json"), "--mechanism", "sd", "--order", "9,9,9"),
+        ("run", str(PROBLEMS / "intro.json"), "--mechanism", "sd", "--order", "1,1,2,3"),
+        ("verify", "--mechanism", "sd", "--order", "1,2", "--property", "sp", "--n", "3"),
+    ],
+    ids=("unknown-divisions", "repeated-division", "too-short"),
+)
+def test_sd_order_that_is_no_permutation_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert "sd order must be a permutation of 1.." in err
+
+
+def test_verify_rejects_a_negative_sample_count(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--mechanism", "csd", "--property", "sp", "--n", "5",
+        "--scope", "sampled", "--count", "-1",
+    )
+    assert code == 2 and not out
+    assert "need a count >= 0" in err
+
+
 N4_ROWS = [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]
 
 

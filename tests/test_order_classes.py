@@ -18,6 +18,7 @@ received worker fails them.
 """
 
 import itertools
+import math
 import multiprocessing
 import operator
 import random
@@ -341,6 +342,25 @@ def test_fill_fails_for_a_core_that_reads_past_the_received_worker(n, monkeypatc
     assert raised  # the guard itself can fire
 
 
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("past", (operator.gt, operator.lt), ids=("gt", "lt"))
+def test_own_position_sweep_fails_where_the_kernel_and_direct_runs_disagree(past, n, jobs, monkeypatch):
+    # the peeking ttc run on each profile's own-last form: moving an own
+    # worker never changes a direct run, but the box fold fails, so the
+    # kernel reads a moved outcome that differs from its base's.  The sweep
+    # raises rather than report a fault that has no witness
+    peeking = peeking_ttc(verifier._Runner(MechanismId("ttc"), n), past)
+
+    def own_last_peeking(self, orders):
+        return peeking(tuple(tuple(w for w in o if w != i) + (i,) for i, o in enumerate(orders, 1)))[0]
+
+    monkeypatch.setattr(verifier._Runner, "__call__", own_last_peeking)
+    with pytest.raises(RuntimeError, match="a fold fails for ttc: the sweep's kernel flags profile"):
+        verifier.check_own_position_invariance("ttc", n, jobs=jobs)
+    assert verifier._SWEEP == {}
+
+
 def counting_runs(monkeypatch):
     """A list that collects the orders of every core run from now on."""
     runs = []
@@ -383,3 +403,105 @@ def test_ttc_pareto_runs_the_core_once_per_outcome_box(monkeypatch):
     report = verifier.check_pareto("ttc", 4)
     assert report.holds and report.checked == 24**4
     assert len(runs) == len(set(runs)) == 3840
+
+
+# -- the own-position kernel's full-space table against direct runs -----------------
+
+
+def own_apart_classes(runner, n):
+    """The own-position kernel's full-space classes, as (offset, reps,
+    boxes): offset[j][order] is that order's share of a class-table offset."""
+    full = verifier._space(n, False)
+    cls, reps, _, boxes = verifier._order_classes(full, runner.mid.tag, runner.partition, True)
+    offset = [
+        {o: c * math.prod(map(len, reps[j + 1 :])) for o, c in zip(full.orders[j], cls[j])}
+        for j in range(n)
+    ]
+    return offset, reps, boxes
+
+
+def moved_entry_mismatches(runner, n):
+    """Fill a full-space class table of the kernel's classes entry by entry,
+    as the kernel does, for every moved profile of every own-last base in
+    turn, and count the moved profiles whose entry differs from their
+    direct run.  Also drive the kernel over every block with each base's
+    direct outcome, as a sweep does but past any fault, and count the
+    blocks where it flags another base than the first whose direct moved
+    outcomes differ from its own.  Returns (moved profiles read,
+    mismatches)."""
+    space = verifier._space(n, True)
+    offset, reps, boxes = own_apart_classes(runner, n)
+    table = bytearray(b"\xff") * math.prod(map(len, reps))
+    code = verifier._perm_codes(n)[1]
+    direct = reference_table(runner, space)
+    blocks = space.size // space.block
+    first = verifier._own_position_kernel(space, runner)
+    flags = [first(direct[b * space.block : (b + 1) * space.block], b) for b in range(blocks)]
+    expected = [None] * blocks
+    read = mismatches = 0
+    for idx, orders in enumerate(itertools.product(*space.orders)):
+        b, k = divmod(idx, space.block)
+        for j, o in enumerate(orders):
+            for q in range(n - 1):
+                moved = orders[:j] + (o[:q] + o[-1:] + o[q:-1],) + orders[j + 1 :]
+                c = code[runner(moved)]
+                if c != direct[idx] and expected[b] is None:
+                    expected[b] = k
+                e = sum(map(dict.__getitem__, offset, moved))
+                if table[e] == 0xFF:
+                    verifier._fill_boxes(table, e, e + 1, runner, reps, boxes)
+                read += 1
+                mismatches += table[e] != c
+    return read, mismatches + sum(map(operator.ne, flags, expected))
+
+
+def assert_moved_entries_are_exact(runner, n):
+    try:
+        read, mismatches = moved_entry_mismatches(runner, n)
+    except Infeasible:  # npb needs three divisions
+        return
+    assert read and not mismatches, runner.label()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_own_position_kernel_reads_direct_outcomes(tag, n):
+    # every tag, npb included from n=3 on: the moved profiles of every
+    # own-last base lie in the full space, and every entry the kernel read
+    # there holds the moved profile's own outcome
+    assert_moved_entries_are_exact(verifier._Runner(MechanismId(tag), n), n)
+
+
+@pytest.mark.parametrize("tag", POOL_TAGS)
+def test_own_position_kernel_under_every_partition_and_priority(tag):
+    # every partition under the identity priority and every priority under
+    # the canonical partition
+    pairs = [(partition, None) for partition in all_assignment_partitions(4)]
+    pairs += [(None, priority) for priority in itertools.permutations(range(1, 5))]
+    for partition, priority in pairs:
+        assert_moved_entries_are_exact(verifier._Runner(MechanismId(tag), 4, partition, priority), 4)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_own_position_kernel_under_mechanism_options(n):
+    # sd under a reversed order, cettc under every initial swap
+    mids = [MechanismId("sd", order=tuple(range(n, 0, -1)))]
+    mids += [MechanismId("cettc", mu0=mu0) for mu0 in verifier.derangements(n)]
+    for mid in mids:
+        assert_moved_entries_are_exact(verifier._Runner(mid, n), n)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_full_space_box_table_equals_one_run_per_profile_n3(tag):
+    # the whole full-space table of the kernel's classes, each tag at n=3.
+    # At n=4 the same twin found no mismatch for any tag (1-9 s a tag, too
+    # slow for this suite; BENCH_own_position.json)
+    runner, full = verifier._Runner(MechanismId(tag), 3), verifier._space(3, False)
+    try:
+        expected = reference_table(runner, full)
+    except Infeasible:  # npb needs three divisions
+        return
+    offset, reps, boxes = own_apart_classes(runner, 3)
+    table = bytearray(b"\xff") * math.prod(map(len, reps))
+    verifier._fill_boxes(table, 0, len(table), runner, reps, boxes)
+    assert bytes(table[sum(map(dict.__getitem__, offset, p))] for p in itertools.product(*full.orders)) == expected

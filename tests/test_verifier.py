@@ -486,6 +486,12 @@ def test_scope_validation():
         check_sp("csd", 5)
 
 
+def test_sampled_scope_rejects_a_negative_count():
+    with pytest.raises(MalformedProblem, match="need a count >= 0"):
+        Scope("sampled", 5, count=-1, seed=0)
+    assert check_sp("csd", 5, Scope("sampled", 5, count=0, seed=0)).checked == 0
+
+
 def test_check_rejects_unknown_mechanism():
     with pytest.raises(MalformedProblem):
         check_sp("nope", 3)
@@ -684,11 +690,12 @@ OUTCOME_FAULTS = {
 }
 
 
-def streamed_sweep(prop, mechanism, n):
+def streamed_sweep(prop, mechanism, n, partition=None, priority=None):
     """(verdict, checked, comparisons, witness) of an exhaustive outcome check
     streamed profile by profile."""
-    partition = canonical_partition(n) if prop == "eap" else None
-    runner = verifier._Runner(verifier.as_mechanism_id(mechanism), n, partition)
+    if partition is None and prop == "eap":
+        partition = canonical_partition(n)
+    runner = verifier._Runner(verifier.as_mechanism_id(mechanism), n, partition, priority)
     # own-position sweeps own-last profiles for every mechanism
     space = verifier._space(n, runner.reduced or prop == "own-position")
     fault = OUTCOME_FAULTS[prop]
@@ -712,10 +719,16 @@ def fields_or_error(run):
     "mid", [MechanismId(t) for t in ALL_TAGS] + [MechanismId("cettc", mu0="random", seed=5)], ids=str
 )
 def test_block_scan_matches_streamed_sweep(mid, prop, n, monkeypatch):
-    expected = fields_or_error(lambda: streamed_sweep(prop, mid, n))
+    assert_block_scan_matches_streamed_sweep(prop, mid, n, {}, monkeypatch)
+
+
+def assert_block_scan_matches_streamed_sweep(prop, mid, n, bound, monkeypatch):
+    """The block scan's report at jobs 1, jobs 2 and jobs 2 without fork
+    equals the streamed sweep's; ``bound`` holds the partition and priority."""
+    expected = fields_or_error(lambda: streamed_sweep(prop, mid, n, **bound))
 
     def block(jobs):
-        return fields_or_error(lambda: report_fields(CHECKS[prop](mid, n, jobs=jobs)))
+        return fields_or_error(lambda: report_fields(CHECKS[prop](mid, n, jobs=jobs, **bound)))
 
     assert block(1) == expected
     assert block(2) == expected
@@ -723,9 +736,106 @@ def test_block_scan_matches_streamed_sweep(mid, prop, n, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
-    assert block(2) == expected
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        m.setattr(verifier, "ProcessPoolExecutor", no_pool)
+        assert block(2) == expected
+
+
+OWN_POSITION_BINDINGS = {
+    "default": {},
+    "partition-1-1-2": {"partition": largest_first_construct(blocks_from_sizes([1, 1, 2]))},
+    "reversed-priority": {"priority": (4, 3, 2, 1)},
+}
+SD_ORDER = MechanismId("sd", order=(2, 4, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "mid,binding",
+    [(MechanismId(t), b) for t in ALL_TAGS for b in ("partition-1-1-2", "reversed-priority")]
+    + [(SD_ORDER, b) for b in sorted(OWN_POSITION_BINDINGS)],
+    ids=str,
+)
+def test_own_position_block_scan_matches_streamed_sweep(mid, binding, monkeypatch):
+    # the own-position kernel reads a full-space table bound to the
+    # partition, the priority and sd's order
+    assert_block_scan_matches_streamed_sweep(
+        "own-position", mid, 4, OWN_POSITION_BINDINGS[binding], monkeypatch
+    )
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_own_position_sweep_moves_every_division(n, monkeypatch):
+    # an outcome that changes only when division j ranks its own worker
+    # first: the identity then, else a cyclic shift.  Each division's prefix
+    # through the worker it receives shows whether that worker comes first,
+    # so the box fold holds, and every own-last base fails by division j's
+    # move of its own worker to the front, and by no other move
+    shift = tuple(range(2, n + 1)) + (1,)
+    for j in range(1, n + 1):
+        monkeypatch.setattr(
+            verifier._Runner, "__call__",
+            lambda self, orders, j=j: tuple(range(1, n + 1)) if orders[j - 1][0] == j else shift,
+        )
+        report = check_own_position_invariance("cettc", n)
+        assert (report.holds, report.checked, report.witness["division"]) == (False, 1, j)
+        assert report.witness["moved_problem"]["preferences"][j - 1][0] == j
+
+
+def peeking_call(past):
+    """A ``_Runner.__call__`` that swaps the workers of divisions 2 and 3
+    when the worker division 1 ranks right after the one it receives passes
+    ``past``: an outcome that can read where division 1's own worker sits,
+    past the worker it receives."""
+    call = verifier._Runner.__call__
+
+    def peeking(self, orders):
+        m = call(self, orders)
+        k = orders[0].index(m[0]) + 1
+        if k < len(orders[0]) and past(orders[0][k], m[0]):
+            m = (m[0], m[2], m[1]) + m[3:]
+        return m
+
+    return peeking
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize(
+    "past",
+    (operator.gt, operator.lt, lambda w, m: w == 1),
+    ids=("larger", "smaller", "own-worker"),
+)
+@pytest.mark.parametrize("tag", ("csd", "tsd", "sd", "cettc", "npb", "bttc"))
+def test_own_position_sweep_catches_a_core_that_reads_its_own_worker(tag, past, jobs, monkeypatch):
+    # a move of the own worker that stays past the worker the division
+    # receives keeps the base's outcome box, and a reads key may leave the
+    # own worker out, yet such a move is tested: the first base fails, as
+    # it does when every moved profile runs directly
+    monkeypatch.setattr(verifier._Runner, "__call__", peeking_call(past))
+    report = check_own_position_invariance(tag, 4, jobs=jobs)
+    assert (report.holds, report.checked, report.witness["division"]) == (False, 1, 1)
+
+
+# core runs of an own-position sweep at n=4 and jobs 1, as measured, against
+# 1,296 bases times 13 runs (the base and its 12 moved profiles) = 16,848
+# when each moved profile runs directly; ttc fails at its first base
+OWN_POSITION_RUNS = {"csd": 208, "tsd": 208, "sd": 208, "cettc": 3549, "npb": 2613, "bttc": 2549, "ttc": 28}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_own_position_sweep_reads_moved_profiles_from_the_table(tag, monkeypatch):
+    runs = 0
+    call = verifier._Runner.__call__
+
+    def counted(self, orders):
+        nonlocal runs
+        runs += 1
+        return call(self, orders)
+
+    monkeypatch.setattr(verifier._Runner, "__call__", counted)
+    report = check_own_position_invariance(tag, 4)
+    assert report.holds == (tag != "ttc")
+    assert runs <= OWN_POSITION_RUNS[tag]
 
 
 def outcome_holds(prop, orders, m, partition):
