@@ -16,28 +16,29 @@ backs it by comparing every full profile at n=3 with its own-last form.
 
 Every check runs through one driver that resolves the scope, binds the
 runner, applies the exhaustive cap and builds the report.  Every exhaustive
-check runs the mechanism through one block scan, ``_outcome_scan``: a block
+check reads the mechanism's outcomes from one class table (``_ClassTable``)
+and, except sp and ri, through one block scan, ``_outcome_scan``: a block
 is the profiles that share their first two orders, and a kernel chosen per
 check reads each block's outcome codes.  ``jobs`` splits the blocks over
-forked workers after the parent has scanned the first; a worker that finds a
-violation notes it in shared memory, and the others stop before a block past
-it.
+forked workers after the parent has scanned the first; a worker that finds
+a violation notes it in shared memory, and the others stop before a block
+past it.  sp and ri run in one process for any ``jobs``.
 
-The block scan runs the mechanism once per box of profiles that must share
+The class table runs the mechanism once per box of profiles that must share
 an outcome, not once per profile.  First, a registry entry's ``reads`` field
 names the part of division i's order its core reads: the prefix through the
 own worker for ttc, whose division never points past that worker because it
 stays present until the division trades (Shapley and Scarf 1974), and the
 order restricted to the division's group pool for csd, tsd and sd, whose
 every pick is the first available worker of a subset of that pool.  Orders
-with equal parts form a class, and the sweep keeps a class table, one byte
-per profile of class representatives.  Second, the table is filled by
-outcome boxes: every profile that agrees with a run profile, division by
-division, down to the worker its outcome gives that division gets the same
-outcome, so one core run fills a whole box of class profiles.  Neither fold
-is assumed: the test suite compares the filled table with one core run per
-profile on every space a sweep uses, the own-position check's full-space
-table among them, and checks both folds on samples above.
+with equal parts form a class, and the table holds one byte per profile of
+class representatives.  Second, the table is filled by outcome boxes: every
+profile that agrees with a run profile, division by division, down to the
+worker its outcome gives that division gets the same outcome, so one core
+run fills a whole box of class profiles.  Neither fold is assumed: the test
+suite compares the filled table with one core run per profile on every
+space a sweep uses, the own-position check's full-space table among them,
+and checks both folds on samples above.
 The box fold is not a theorem for tsd: once a group holds three divisions
 (n >= 6, past the sweeps' cap) a division's stage-1 nomination can lie past
 the worker it receives and change the outcome.  Witnesses are built by
@@ -48,16 +49,16 @@ check does only the work its verdict reads:
 * sp and ri are one deviation check: division i must not gain by its own
   misreport (sp) nor lose when the others raise its worker (ri).  A probe
   first runs the property's pairwise scan over the first ``radix`` base
-  profiles, computing outcomes as they are looked up, so a violation near
-  the start of the space is found without building a table;
-* otherwise the block scan's kernel stores every block's codes in a byte
-  table in shared memory.  sp then applies the taxation principle: with the
-  other divisions' reports fixed, every report of a division must receive
-  the top of that division's menu, the workers its reports can reach.  ri
-  tries single adjacent raises only: every improvement is a chain of them
-  that leaves the subject's own order alone, so the subject loses by some
+  profiles, reading the class table entry by entry, so a violation near
+  the start of the space is found without filling the whole table;
+* otherwise the rest of the table is filled and gathered into one byte per
+  profile.  sp then applies the taxation principle: with the other
+  divisions' reports fixed, every report of a division must receive the top
+  of that division's menu, the workers its reports can reach.  ri tries
+  single adjacent raises only: every improvement is a chain of them that
+  leaves the subject's own order alone, so the subject loses by some
   improvement iff it loses by one step;
-* ce, cee, eap, pareto and own-position build no whole table and stop at
+* ce, cee, eap, pareto and own-position fill no whole table and stop at
   their first faulting block.  The kernel of ce, cee, eap and pareto
   translates a block's codes to envy masks and peels all its envy graphs at
   once with int operations.  own-position sweeps own-last bases, whose
@@ -91,7 +92,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 import multiprocessing as mp
 import operator
 import random
@@ -134,8 +134,8 @@ class Scope:
             raise MalformedProblem(f"unknown scope kind {self.kind!r}")
         if self.kind == "sampled" and (self.count is None or self.seed is None):
             raise MalformedProblem("sampled scopes need count and seed")
-        if self.kind == "sampled" and self.count < 0:
-            raise MalformedProblem(f"sampled scopes need a count >= 0, got {self.count}")
+        if self.kind == "sampled" and self.count < 1:
+            raise MalformedProblem(f"sampled scopes need a count >= 1, got {self.count}")
 
     def to_dict(self):
         d = {"kind": self.kind, "n": self.n}
@@ -517,37 +517,6 @@ class _Runner:
         return problem_to_dict(Problem(PreferenceProfile(orders), self.priority, partition))
 
 
-def _outcome_table(runner: _Runner, space: _ProfileSpace, jobs=1):
-    """Outcome of every profile as a permutation code, one byte each (there
-    are fewer than 256 codes for n <= 5).  The table is shared memory that
-    exists before any fork, so ``jobs`` processes fill it by blocks, through
-    ``_outcome_scan`` with a kernel that stores each block's codes and never
-    faults; it is left in the sweep state for the scans that read it."""
-    table, block = mmap.mmap(-1, space.size), space.block
-
-    def fill(codes, b):
-        table[b * block : (b + 1) * block] = codes
-
-    _SWEEP.update(runner=runner, space=space, table=table, first=fill, classes=None)
-    _run_ranged(_outcome_scan, space.size // block, jobs)
-    return table
-
-
-class _ProbeTable(dict):
-    """Outcome codes computed when first looked up, for the early-exit probe:
-    it reads a few profiles and must not pay for a whole table."""
-
-    def __init__(self, runner: _Runner, space: _ProfileSpace):
-        super().__init__()
-        self.runner = runner
-        self.space = space
-        self.code = _perm_codes(space.n)[1]
-
-    def __missing__(self, idx):
-        c = self[idx] = self.code[self.runner(self.space.profile_at(idx))]
-        return c
-
-
 def _code_map(perms, f):
     """Byte translation table taking each permutation code c to f(perms[c])."""
     return bytes(map(f, perms)).ljust(256, b"\0")
@@ -577,7 +546,6 @@ def _sp_menu_scan(space: _ProfileSpace, table) -> int | None:
     """
     perms, _ = _perm_codes(space.n)
     radix, size = space.radix, space.size
-    table = bytes(table)  # a shared-memory table has no translate
     best = size
     for j in range(space.n):
         p = space.pows[j]
@@ -638,8 +606,7 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
 
 # -- exhaustive sweep internals ----------------------------------------------
 
-# Shared state for forked sweep workers; index-range tasks read it after fork,
-# and the table fill writes the shared table it holds.
+# Shared state for forked sweep workers; index-range tasks read it after fork.
 _SWEEP = {}
 
 
@@ -763,45 +730,85 @@ def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
     return tuple(cls), tuple(reps), index, tuple(boxes)
 
 
-def _fill_boxes(table, pos, end, runner, reps, boxes):
-    """Fill the unfilled entries (0xFF) in [pos, end) of a class table.
+class _ClassTable:
+    """The outcome codes of a profile space, one byte per profile of the
+    ``_order_classes`` representatives (0xFF when unfilled), filled by
+    outcome boxes as they are read: ``table[idx]`` is profile idx's code.
+    One table serves one sweep; forked workers fill their own copies.
+    offsets[j][d] is the share of division j+1's order number d in an entry."""
 
-    Let m be the outcome of a profile.  Every profile whose orders agree
-    with it, division by division, down to the worker m gives that division
-    gets m too: the equal-prefix case of Maskin monotonicity (Takamiya,
-    "Coalition strategy-proofness and monotonicity in Shapley-Scarf housing
-    markets", Math. Soc. Sci. 2001).  It is checked per mechanism, not
-    derived, and tsd fails it once a group holds three divisions.  So the
-    representatives of the first unfilled entry run the core once, and its
-    code goes over the entry's whole box, a product of class ranges written
-    as one strided slice along the longest range per entry of the others.
-    Boxes of one outcome are equal or disjoint, so a box that meets a filled
-    entry meets another outcome: the fold fails for this mechanism, and the
-    fill raises rather than let a sweep read a wrong table."""
-    code = _perm_codes(len(reps))[1]
-    weights = [math.prod(map(len, reps[j + 1 :])) for j in range(len(reps))]
-    while (pos := table.find(0xFF, pos, end)) >= 0:
-        digits, rest = [], pos
-        for wt in weights:
-            d, rest = divmod(rest, wt)
-            digits.append(d)
-        orders = tuple(map(tuple.__getitem__, reps, digits))
-        m = runner(orders)
-        ranges = [boxes[j][d][w] for j, (d, w) in enumerate(zip(digits, m))]
-        long = max(ranges, key=len)
-        ranges.remove(long)  # equal ranges hold the same offsets: either may go
-        starts = [long.start]
-        for r in ranges:
-            starts = [s + k for s in starts for k in r]
-        blank, fill = b"\xff" * len(long), bytes((code[m],)) * len(long)
-        for s in starts:
-            run = slice(s, s + len(long) * long.step, long.step)
-            if table[run] != blank:
-                raise RuntimeError(
-                    f"outcome-prefix fold fails for {runner.label()}: the box of profile "
-                    f"{orders}, outcome {m}, meets another outcome"
-                )
-            table[run] = fill
+    def __init__(self, runner: _Runner, space: _ProfileSpace, own_apart=False):
+        self.runner, self.space = runner, space
+        classes = _order_classes(space, runner.mid.tag, runner.partition, own_apart)
+        self.cls, self.reps, self.index, self.boxes = classes
+        self.weights = [math.prod(map(len, self.reps[j + 1 :])) for j in range(space.n)]
+        self.offsets = [[c * wt for c in cs] for cs, wt in zip(self.cls, self.weights)]
+        self.codes = bytearray(b"\xff") * (self.weights[0] * len(self.reps[0]))
+        self.gather = None if self.index is None else operator.itemgetter(*self.index)
+
+    def __getitem__(self, idx):
+        e = sum(map(list.__getitem__, self.offsets, self.space.digits_of(idx)))
+        if self.codes[e] == 0xFF:
+            self.fill(e, e + 1)
+        return self.codes[e]
+
+    def block(self, b):
+        """The codes of block b, the profiles that share their first two orders:
+        the entries of its two head classes, filled, gathered through index."""
+        d0, d1 = self.space.digits_of(b * self.space.block)[:2]
+        start = self.offsets[0][d0] + self.offsets[1][d1]
+        end = start + self.weights[1]
+        self.fill(start, end)
+        sub = self.codes[start:end]
+        return sub if self.gather is None else bytes(self.gather(sub))
+
+    def fill(self, pos, end):
+        """Fill the unfilled entries in [pos, end).
+
+        Let m be the outcome of a profile.  Every profile whose orders agree
+        with it, division by division, down to the worker m gives that
+        division gets m too: the equal-prefix case of Maskin monotonicity
+        (Takamiya, "Coalition strategy-proofness and monotonicity in
+        Shapley-Scarf housing markets", Math. Soc. Sci. 2001).  It is checked
+        per mechanism, not derived, and tsd fails it once a group holds three
+        divisions.  So the representatives of the first unfilled entry run
+        the core once, and its code goes over the entry's whole box, a
+        product of class ranges written as one strided slice along the
+        longest range per entry of the others.  Boxes of one outcome are
+        equal or disjoint, so a box that meets a filled entry meets another
+        outcome: the fold fails for this mechanism, and the fill raises
+        rather than let a sweep read a wrong table."""
+        table, reps, boxes = self.codes, self.reps, self.boxes
+        code = _perm_codes(len(reps))[1]
+        while (pos := table.find(0xFF, pos, end)) >= 0:
+            digits, rest = [], pos
+            for wt in self.weights:
+                d, rest = divmod(rest, wt)
+                digits.append(d)
+            orders = tuple(map(tuple.__getitem__, reps, digits))
+            m = self.runner(orders)
+            ranges = [boxes[j][d][w] for j, (d, w) in enumerate(zip(digits, m))]
+            long = max(ranges, key=len)
+            ranges.remove(long)  # equal ranges hold the same offsets: either may go
+            starts = [long.start]
+            for r in ranges:
+                starts = [s + k for s in starts for k in r]
+            blank, fill = b"\xff" * len(long), bytes((code[m],)) * len(long)
+            for s in starts:
+                run = slice(s, s + len(long) * long.step, long.step)
+                if table[run] != blank:
+                    raise RuntimeError(
+                        f"outcome-prefix fold fails for {self.runner.label()}: the box of "
+                        f"profile {orders}, outcome {m}, meets another outcome"
+                    )
+                table[run] = fill
+
+
+def _outcome_table(table: _ClassTable) -> bytes:
+    """Fill a class table and gather it block by block into one byte per
+    profile of its space (there are fewer than 256 codes for n <= 5)."""
+    space = table.space
+    return b"".join(map(table.block, range(space.size // space.block)))
 
 
 def _outcome_scan(lo, hi):
@@ -810,34 +817,20 @@ def _outcome_scan(lo, hi):
     and hand each block's outcome codes to the sweep's kernel: ``first(codes,
     b)`` returns the offset of block b's first faulting profile or None.
 
-    The codes come from the sweep's class table, one byte per class profile
-    of ``_order_classes``, which ``_fill_boxes`` fills by outcome boxes, one
-    core run on class representatives per box.  Before a block is gathered
-    only the entries of its two head classes are filled, so a check that
-    faults early pays for little of the table; forked workers keep filling
-    the table they inherit.  The table lasts one sweep.  Stops at the first
-    faulting block, or, in a forked sweep, before a block past the lowest
-    faulting block any worker has found; the sweep's fault function gives
-    the witness from a run of the faulting profile itself, and the scan
-    raises if it finds none there.  Returns (profiles_run, None, (index,
-    witness) or None)."""
-    space, runner, first = _SWEEP["space"], _SWEEP["runner"], _SWEEP["first"]
-    cls, reps, index, boxes = _order_classes(space, runner.mid.tag, runner.partition)
-    table = _SWEEP.get("classes")
-    if table is None:
-        table = _SWEEP["classes"] = bytearray(b"\xff") * math.prod(map(len, reps))
-    inner = math.prod(map(len, reps[2:]))
-    gather = None if index is None else operator.itemgetter(*index)
+    The codes come from the sweep's class table (``_ClassTable.block``), so
+    a check that faults early pays for little of the table.  Stops at the
+    first faulting block, or, in a forked sweep, before a block past the
+    lowest faulting block any worker has found; the sweep's fault function
+    gives the witness from a run of the faulting profile itself, and the
+    scan raises if it finds none there.  Returns (profiles_run, None,
+    (index, witness) or None)."""
+    table, first = _SWEEP["table"], _SWEEP["first"]
+    space, runner = table.space, table.runner
     lowest = _SWEEP.get("lowest")
     for b in range(lo, hi):
         if lowest is not None and lowest.value < b:
             return (b - lo) * space.block, None, None
-        d0, d1 = space.digits_of(b * space.block)[:2]
-        start = (cls[0][d0] * len(reps[1]) + cls[1][d1]) * inner
-        _fill_boxes(table, start, start + inner, runner, reps, boxes)
-        sub = table[start : start + inner]
-        codes = sub if gather is None else bytes(gather(sub))
-        k = first(codes, b)
+        k = first(table.block(b), b)
         if k is not None:
             if lowest is not None:
                 with lowest.get_lock():
@@ -930,25 +923,22 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
     A base profile's moved profiles, one division's own worker moved to
     another position, lie in the full space, so the kernel keeps a second
     class table over the full space, with classes and boxes that keep every
-    own worker's position (``own_apart``).  It is filled by ``_fill_boxes``
-    one unfilled entry at a time as a moved profile reads it, so a moved
-    profile's outcome comes from a run of a profile that ranks every own
-    worker where it does, never from its base's box: the check does not
-    assume the invariance it tests.  The kernel compares each base's code
-    with the entries of its moved profiles.  at[j][d] is the full-space
-    table offset of division j+1's reduced order number d, and moves[j][d]
-    the differences to the offsets of that order with its own worker at
-    each other position.  The returned ``first(codes, b)`` gives the offset
-    of block b's first base with a moved profile of another outcome, or
-    None.
+    own worker's position (``own_apart``).  It is filled one unfilled entry
+    at a time as a moved profile reads it, so a moved profile's outcome
+    comes from a run of a profile that ranks every own worker where it
+    does, never from its base's box: the check does not assume the
+    invariance it tests.  The kernel compares each base's code with the
+    entries of its moved profiles.  at[j][d] is the full-space table offset
+    of division j+1's reduced order number d, and moves[j][d] the
+    differences to the offsets of that order with its own worker at each
+    other position.  The returned ``first(codes, b)`` gives the offset of
+    block b's first base with a moved profile of another outcome, or None.
     """
     n, full = space.n, _space(space.n, False)
-    cls, reps, _, boxes = _order_classes(full, runner.mid.tag, runner.partition, True)
-    table = bytearray(b"\xff") * math.prod(map(len, reps))
-    at, moves = [], []
+    table = _ClassTable(runner, full, own_apart=True)
+    entries, at, moves = table.codes, [], []
     for j, orders in enumerate(space.orders):
-        wt = math.prod(map(len, reps[j + 1 :]))
-        offset = {o: c * wt for o, c in zip(full.orders[j], cls[j])}
+        offset = dict(zip(full.orders[j], table.offsets[j]))
         at.append([offset[o] for o in orders])
         moves.append([
             tuple(offset[o[:q] + o[-1:] + o[q:-1]] - offset[o] for q in range(n - 1)) for o in orders
@@ -963,9 +953,9 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
             for j, d in enumerate(digits):
                 for e in moves[j][d]:
                     e += base
-                    if table[e] == 0xFF:
-                        _fill_boxes(table, e, e + 1, runner, reps, boxes)
-                    if table[e] != codes[k]:
+                    if entries[e] == 0xFF:
+                        table.fill(e, e + 1)
+                    if entries[e] != codes[k]:
                         return k
         return None
 
@@ -986,8 +976,7 @@ def _run_ranged(scan, size, jobs):
     past it, whose results are never read.  The count scanned is meaningful
     only when no violation is found; callers report the witness position
     otherwise.  Where the ``fork`` start method is unavailable the scan runs
-    serially: workers read the sweep state they inherit at fork, and fill
-    the outcome table through the shared memory it lives in.
+    serially: workers read the sweep state they inherit at fork.
     """
     if jobs <= 1 or "fork" not in mp.get_all_start_methods():
         return scan(0, size)
@@ -1044,7 +1033,7 @@ def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
     return PropertyReport(prop, runner.label(), scope, *result, time.perf_counter() - t0)
 
 
-def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
+def _deviation_check(prop, mechanism, n, scope, partition, priority, *,
                      draw, beats, word, show, scan, fast, exact, holding):
     """A check that division i ends up no worse off (by its own rank order)
     when the profile deviates for it.
@@ -1055,7 +1044,8 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
     ``show(runner, deviant, i)``.  When exhaustive, ``scan`` is the pairwise
     scan over base profiles, ``fast(space, table)`` the first failing base
     (``exact``) or a base at or after it, and ``holding(space)`` what the
-    pairwise scan compares when nothing fails.
+    pairwise scan compares when nothing fails.  The probe, the fill and the
+    scans share one class table and run in one process.
     """
 
     def witness(runner, orders, deviant, i, out, out2):
@@ -1089,11 +1079,13 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
 
     def sweep(runner):
         space = _space(n, runner.reduced)
+        table = _ClassTable(runner, space)
         _SWEEP.clear()
-        _SWEEP.update(space=space, table=_ProbeTable(runner, space))
+        _SWEEP.update(space=space, table=table)
         _, _, vio = scan(0, space.radix)
         if vio is None:
-            first = fast(space, _outcome_table(runner, space, jobs))
+            _SWEEP["table"] = codes = _outcome_table(table)
+            first = fast(space, codes)
             if first is None:
                 return True, space.size, holding(space), None
             _, _, vio = scan(first if exact else space.radix, first + 1)
@@ -1107,9 +1099,12 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
 
 
 def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """No division can gain by misreporting its order, all else fixed."""
+    """No division can gain by misreporting its order, all else fixed.
+
+    ``jobs`` is accepted as every check accepts it; the sweep runs in one
+    process for any value."""
     return _deviation_check(
-        "sp", mechanism, n, scope, partition, priority, jobs,
+        "sp", mechanism, n, scope, partition, priority,
         draw=lambda rng, orders, i, reduced: (
             orders[: i - 1] + (_sample_orders(rng, len(orders), reduced)[i - 1],) + orders[i:]
         ),
@@ -1124,9 +1119,12 @@ def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
 
 
 def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """A division never loses when other divisions rank its worker higher."""
+    """A division never loses when other divisions rank its worker higher.
+
+    ``jobs`` is accepted as every check accepts it; the sweep runs in one
+    process for any value."""
     return _deviation_check(
-        "ri", mechanism, n, scope, partition, priority, jobs,
+        "ri", mechanism, n, scope, partition, priority,
         draw=lambda rng, orders, i, reduced: tuple(
             o if j == i else rng.choice(_raised_orders(o, i)) for j, o in enumerate(orders, 1)
         ),
@@ -1198,7 +1196,7 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
         else:
             first = _own_position_kernel(space, runner)
         _SWEEP.clear()
-        _SWEEP.update(space=space, runner=runner, fault=fault, first=first)
+        _SWEEP.update(table=_ClassTable(runner, space), fault=fault, first=first)
         try:
             _, _, vio = _run_ranged(_outcome_scan, space.size // space.block, jobs)
         finally:

@@ -229,7 +229,17 @@ def test_verify_rejects_a_negative_sample_count(capsys):
         "--scope", "sampled", "--count", "-1",
     )
     assert code == 2 and not out
-    assert "need a count >= 0" in err
+    assert "need a count >= 1" in err
+
+
+def test_verify_rejects_an_empty_sample(capsys):
+    # a verdict from no samples would read "holds" having checked nothing
+    code, out, err = run_cli(
+        capsys, "verify", "--mechanism", "csd", "--property", "sp", "--n", "5",
+        "--scope", "sampled", "--count", "0",
+    )
+    assert code == 2 and not out
+    assert "need a count >= 1" in err
 
 
 N4_ROWS = [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]

@@ -12,14 +12,12 @@ that division gets that outcome too.  The twin of the fill is the table of
 one core run per profile.  On a space where the two are equal the fold holds
 exactly: every profile lies in the box of the representative that filled it,
 so it gets that representative's outcome and shares its prefixes.  The
-twins compare them on every space a sweep uses at n <= 4, for any job count,
-and check the fold on sampled boxes above.  A core that reads past its
+twins compare them on every space a sweep uses at n <= 4, and check the
+fold on sampled boxes above.  A core that reads past its
 received worker fails them.
 """
 
 import itertools
-import math
-import multiprocessing
 import operator
 import random
 from collections import defaultdict
@@ -60,7 +58,8 @@ def test_all_assignment_partitions_counts():
 def class_mismatches(runner, space):
     """How many profiles of the space get another outcome than the profile
     of their orders' class representatives."""
-    cls, reps, _, _ = verifier._order_classes(space, runner.mid.tag, runner.partition)
+    table = verifier._ClassTable(runner, space)
+    cls, reps = table.cls, table.reps
     reads = MECHANISMS[runner.mid.tag].reads
     for j, orders in enumerate(space.orders):
         keys = [reads(j + 1, o, runner.partition) for o in orders]
@@ -81,7 +80,7 @@ def test_ttc_reads_through_own_worker_full_space(n):
     runner = verifier._Runner(MechanismId("ttc"), n)
     space = verifier._space(n, False)
     assert class_mismatches(runner, space) == 0
-    cls = verifier._order_classes(space, "ttc", None)[0]
+    cls = verifier._ClassTable(runner, space).cls
     # at n=4 the 24 full orders fold into 16 classes per division
     assert [len(set(c)) for c in cls] == [{2: 2, 3: 5, 4: 16}[n]] * n
 
@@ -165,19 +164,13 @@ def reference_table(runner, space):
     return bytes(code[runner(p)] for p in itertools.product(*space.orders))
 
 
-def tables_for_any_jobs(runner, space, monkeypatch):
-    tables = [bytes(verifier._outcome_table(runner, space, jobs)) for jobs in (1, 2)]
-    with monkeypatch.context() as m:
-        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        tables.append(bytes(verifier._outcome_table(runner, space, 2)))
-    verifier._SWEEP.clear()
-    return tables
+def filled_table(runner, space):
+    return verifier._outcome_table(verifier._ClassTable(runner, space))
 
 
 def runners(n):
     # bttc at full n=4 is left to the structural check below: one table
-    # there is 331,776 runs of its slowest core, and four of them (the
-    # reference and three job counts) would take most of a minute
+    # there is 331,776 runs of its slowest core
     tags = ALL_TAGS if n < 4 else tuple(t for t in ALL_TAGS if t != "bttc")
     yield from (verifier._Runner(MechanismId(tag), n) for tag in tags)
     yield verifier._Runner(MechanismId("sd", order=tuple(range(n, 0, -1))), n)
@@ -188,23 +181,17 @@ def runners(n):
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_gathered_table_equals_one_run_per_profile(n, monkeypatch):
+def test_gathered_table_equals_one_run_per_profile(n):
     for runner in runners(n):
         space = verifier._space(n, runner.reduced)
         try:
             expected = reference_table(runner, space)
         except Infeasible:  # npb needs three divisions
             continue
-        assert tables_for_any_jobs(runner, space, monkeypatch) == [expected] * 3, runner.label()
+        assert filled_table(runner, space) == expected, runner.label()
 
 
 # -- the outcome-box fill against one core run per profile ---------------------------
-
-
-def filled_table(runner, space):
-    table = bytes(verifier._outcome_table(runner, space, 1))
-    verifier._SWEEP.clear()
-    return table
 
 
 def assert_fill_is_exact(runner, space):
@@ -336,7 +323,6 @@ def test_fill_fails_for_a_core_that_reads_past_the_received_worker(n, monkeypatc
         except RuntimeError as e:
             assert "outcome-prefix fold fails for ttc" in str(e)
             raised.append(past)
-            verifier._SWEEP.clear()
         else:
             assert table != reference_table(runner, space)
     assert raised  # the guard itself can fire
@@ -371,13 +357,14 @@ def counting_runs(monkeypatch):
 
 # without a reads field every order is its own class, and the fill still
 # runs the core once per outcome box: (check, core runs measured at n=4)
-WHOLE_ORDER_RUNS = {"bttc": ("sp", 6576), "cettc": ("sp", 369), "npb": ("pareto", 201)}
+WHOLE_ORDER_RUNS = {"bttc": ("sp", 4896), "cettc": ("sp", 273), "npb": ("pareto", 201)}
 
 
 @pytest.mark.parametrize("tag,reduced", [("bttc", False), ("cettc", True), ("npb", True)])
 def test_whole_order_mechanisms_run_once_per_outcome_box(tag, reduced, monkeypatch):
     space = verifier._space(4, reduced)
-    cls, reps, index, _ = verifier._order_classes(space, tag, None)
+    table = verifier._ClassTable(verifier._Runner(MechanismId(tag), 4), space)
+    cls, reps, index = table.cls, table.reps, table.index
     assert cls == (tuple(range(space.radix)),) * 4 and reps == space.orders and index is None
     prop, most = WHOLE_ORDER_RUNS[tag]
     runs = counting_runs(monkeypatch)
@@ -388,14 +375,13 @@ def test_whole_order_mechanisms_run_once_per_outcome_box(tag, reduced, monkeypat
 
 def test_ttc_sp_runs_the_core_once_per_class_profile(monkeypatch):
     # at most once per class profile, 16**4 at full n=4, and in fact once
-    # per outcome box, 3,840 of them; besides, the probe's pairwise scan
-    # over the first 24 base profiles runs 1,680 distinct profiles: the 24
-    # bases and 23 misreports of each by divisions 1 to 3 (division 4's
-    # misreports are bases)
+    # per outcome box, 3,840 of them: the probe's pairwise scan over the
+    # first 24 base profiles reads the same class table that is then
+    # filled, so its runs each fill a box too
     runs = counting_runs(monkeypatch)
     report = verifier.check_sp("ttc", 4)
     assert report.holds and report.checked == 24**4
-    assert len(runs) <= 3840 + 24 + 24 * 3 * 23 < 16**4
+    assert len(runs) <= 3840 < 16**4
 
 
 def test_ttc_pareto_runs_the_core_once_per_outcome_box(monkeypatch):
@@ -408,16 +394,9 @@ def test_ttc_pareto_runs_the_core_once_per_outcome_box(monkeypatch):
 # -- the own-position kernel's full-space table against direct runs -----------------
 
 
-def own_apart_classes(runner, n):
-    """The own-position kernel's full-space classes, as (offset, reps,
-    boxes): offset[j][order] is that order's share of a class-table offset."""
-    full = verifier._space(n, False)
-    cls, reps, _, boxes = verifier._order_classes(full, runner.mid.tag, runner.partition, True)
-    offset = [
-        {o: c * math.prod(map(len, reps[j + 1 :])) for o, c in zip(full.orders[j], cls[j])}
-        for j in range(n)
-    ]
-    return offset, reps, boxes
+def full_index(space, orders):
+    """The index of a profile of the full space."""
+    return sum(space.order_index[j][o] * space.pows[j] for j, o in enumerate(orders))
 
 
 def moved_entry_mismatches(runner, n):
@@ -429,9 +408,8 @@ def moved_entry_mismatches(runner, n):
     blocks where it flags another base than the first whose direct moved
     outcomes differ from its own.  Returns (moved profiles read,
     mismatches)."""
-    space = verifier._space(n, True)
-    offset, reps, boxes = own_apart_classes(runner, n)
-    table = bytearray(b"\xff") * math.prod(map(len, reps))
+    space, full = verifier._space(n, True), verifier._space(n, False)
+    table = verifier._ClassTable(runner, full, own_apart=True)
     code = verifier._perm_codes(n)[1]
     direct = reference_table(runner, space)
     blocks = space.size // space.block
@@ -447,11 +425,8 @@ def moved_entry_mismatches(runner, n):
                 c = code[runner(moved)]
                 if c != direct[idx] and expected[b] is None:
                     expected[b] = k
-                e = sum(map(dict.__getitem__, offset, moved))
-                if table[e] == 0xFF:
-                    verifier._fill_boxes(table, e, e + 1, runner, reps, boxes)
                 read += 1
-                mismatches += table[e] != c
+                mismatches += table[full_index(full, moved)] != c
     return read, mismatches + sum(map(operator.ne, flags, expected))
 
 
@@ -501,7 +476,7 @@ def test_full_space_box_table_equals_one_run_per_profile_n3(tag):
         expected = reference_table(runner, full)
     except Infeasible:  # npb needs three divisions
         return
-    offset, reps, boxes = own_apart_classes(runner, 3)
-    table = bytearray(b"\xff") * math.prod(map(len, reps))
-    verifier._fill_boxes(table, 0, len(table), runner, reps, boxes)
-    assert bytes(table[sum(map(dict.__getitem__, offset, p))] for p in itertools.product(*full.orders)) == expected
+    table = verifier._ClassTable(runner, full, own_apart=True)
+    table.fill(0, len(table.codes))
+    assert 0xFF not in table.codes
+    assert bytes(map(table.__getitem__, range(full.size))) == expected

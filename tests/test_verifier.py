@@ -487,9 +487,10 @@ def test_scope_validation():
 
 
 def test_sampled_scope_rejects_a_negative_count():
-    with pytest.raises(MalformedProblem, match="need a count >= 0"):
+    with pytest.raises(MalformedProblem, match="need a count >= 1"):
         Scope("sampled", 5, count=-1, seed=0)
-    assert check_sp("csd", 5, Scope("sampled", 5, count=0, seed=0)).checked == 0
+    with pytest.raises(MalformedProblem, match="need a count >= 1"):
+        Scope("sampled", 5, count=0, seed=0)
 
 
 def test_check_rejects_unknown_mechanism():
@@ -559,7 +560,7 @@ ALL_TAGS = ("csd", "tsd", "cettc", "npb", "sd", "ttc", "bttc")
 def sweep_of(mechanism, n):
     runner = verifier._Runner(verifier.as_mechanism_id(mechanism), n)
     space = verifier._space(n, runner.reduced)
-    return runner, space, verifier._outcome_table(runner, space)
+    return runner, space, verifier._outcome_table(verifier._ClassTable(runner, space))
 
 
 def pairwise_scan(prop, space, table, lo=0, hi=None):
@@ -890,7 +891,7 @@ def test_block_scan_stops_at_the_first_failing_block(monkeypatch):
     assert calls <= 3457 + 24**2 + 24
 
 
-# sweeps whose table fill fans out: sp and ri hold for ttc, cettc's ri fails
+# sweeps that build a whole table: sp and ri hold for ttc, cettc's ri fails
 # after its table is built
 TABLE_SWEEPS = ((check_sp, "ttc"), (check_ri, "ttc"), (check_ri, "cettc"))
 
@@ -950,31 +951,39 @@ def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
     calls = []
     monkeypatch.setattr(verifier._Runner, "__call__", lambda self, orders: calls.append(orders) or (1, 2, 3))
     lowest = multiprocessing.get_context().Value("q", 4)
+    table = verifier._ClassTable(runner, space)
     verifier._SWEEP.clear()
-    verifier._SWEEP.update(space=space, runner=runner, first=lambda codes, b: None, lowest=lowest)
+    verifier._SWEEP.update(table=table, first=lambda codes, b: None, lowest=lowest)
     try:
         assert verifier._outcome_scan(5, 9) == (0, None, None)
         assert calls == []
         assert verifier._outcome_scan(2, 9) == (3 * space.block, None, None)
         heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
         assert 2 in heads and heads <= {2, 3, 4}
-        assert 0xFF not in verifier._SWEEP["classes"][2 * space.block : 5 * space.block]
+        assert 0xFF not in table.codes[2 * space.block : 5 * space.block]
     finally:
         verifier._SWEEP.clear()
 
 
-def test_outcome_table_is_the_same_for_any_jobs():
-    # workers write disjoint ranges of one shared table; a lost or misplaced
-    # write would leave a byte that differs from the serial fill
-    runner, space, table = sweep_of("ttc", 3)
-    serial = bytes(table)
-    for jobs in (2, 5):
-        assert bytes(verifier._outcome_table(runner, space, jobs)) == serial
+@pytest.mark.parametrize("check", (check_sp, check_ri))
+@pytest.mark.parametrize("tag,n", [("ttc", 3), ("cettc", 4), ("npb", 4), ("csd", 4)])
+def test_deviation_checks_start_no_pool_for_any_jobs(check, tag, n, monkeypatch):
+    # sp and ri probe, fill and scan one class table in the calling process
+    solo = check(tag, n, jobs=1).to_dict()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
+    multi = check(tag, n, jobs=2).to_dict()
+    solo.pop("elapsed_s")
+    multi.pop("elapsed_s")
+    assert multi == solo
 
 
 def test_own_position_report_is_the_same_for_any_jobs():
     # own-position fails at its first profile for ttc and holds after a
-    # fan-out for npb; the sp and ri sweeps fan out their table fill
+    # fan-out for npb; the sp and ri sweeps ignore jobs
     sweeps = ((check_own_position_invariance, "ttc"), (check_own_position_invariance, "npb"))
     for check, tag in sweeps + TABLE_SWEEPS:
         solo = check(tag, 3, jobs=1).to_dict()
