@@ -15,7 +15,11 @@ kind) tuples, or None for a mechanism that keeps no trace.  The classic
 top-trading core keeps none, so it follows one pointer path at a time and
 clears each cycle as the path closes; the trading cores that keep a trace
 (cettc, bttc) clear cycles round by round through ``_cycles``, because their
-traces list events in that order.
+traces list events in that order.  The pool cores (csd, tsd, sd) keep one
+set of untaken workers per group pool and discard each pick from it, since
+the pools are disjoint; csd marks chosen divisions in a list, and its
+fallback walks a pointer forward through the priority, since chosen
+divisions never become unchosen.
 
 The ``MECHANISMS`` registry, keyed by tag, is the one place that knows each
 mechanism: how to bind its core to everything but the orders, whether it
@@ -74,14 +78,13 @@ def _first_available(order, available):
 
 
 def _sd_groups_core(order, group_of, pools, orders):
-    n = len(orders)
-    taken = set()
-    mapping = [0] * n
+    free = list(map(set, pools))  # per group, the pool's workers not yet taken
+    mapping = [0] * len(orders)
     for i in order:
-        pool = pools[group_of[i]]
-        w = _first_available(orders[i - 1], set(pool) - taken)
+        pool = free[group_of[i]]
+        w = _first_available(orders[i - 1], pool)
+        pool.discard(w)
         mapping[i - 1] = w
-        taken.add(w)
     return tuple(mapping), None
 
 
@@ -100,25 +103,27 @@ def run_sd_within_groups(problem: Problem, order) -> Assignment:
 
 def _csd_core(priority, group_of, pools, orders):
     n = len(orders)
-    pr_pos = {i: p for p, i in enumerate(priority)}
-    taken = set()
-    unchosen = set(range(1, n + 1))
+    free = list(map(set, pools))
+    chosen = [False] * (n + 1)
+    top = 0  # priority[:top] have all chosen: a fallback only looks past it
     mapping = [0] * n
     steps = []
     chooser, kind = priority[0], "start"
     for t in range(1, n + 1):
-        pool = set(pools[group_of[chooser]]) - taken
+        pool = free[group_of[chooser]]
         w = _first_available(orders[chooser - 1], pool)
+        pool.discard(w)
         mapping[chooser - 1] = w
-        taken.add(w)
-        unchosen.discard(chooser)
+        chosen[chooser] = True
         steps.append((t, chooser, w, kind))
-        if not unchosen:
+        if t == n:
             break
-        if w in unchosen:  # owner of worker w is division w
+        if not chosen[w]:  # owner of worker w is division w
             chooser, kind = w, "owner-call"
         else:
-            chooser, kind = min(unchosen, key=pr_pos.__getitem__), "fallback"
+            while chosen[priority[top]]:
+                top += 1
+            chooser, kind = priority[top], "fallback"
     return tuple(mapping), steps
 
 
@@ -133,12 +138,12 @@ def run_csd(problem: Problem) -> tuple[Assignment, Trace]:
 
 
 def _tsd_core(priority, group_of, pools, orders):
-    available = set(range(1, len(orders) + 1))
+    free = list(map(set, pools))
     noms = []
     for t, i in enumerate(priority, start=1):
-        pool = set(pools[group_of[i]]) & available
+        pool = free[group_of[i]]
         w = _first_available(orders[i - 1], pool)
-        available.discard(w)
+        pool.discard(w)
         noms.append((t, i, w, "nominate"))
     # Owners of nominated workers, in nomination order, become the final
     # priority; the assignment is a fresh groupwise dictatorship under it.

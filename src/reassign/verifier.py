@@ -70,6 +70,15 @@ check does only the work its verdict reads:
   check tests the invariance the folds would otherwise assume.  The
   check's fault function builds the witness from direct runs.
 
+Sampled scopes draw from CPython's ``random.Random`` stream word for word,
+so a seed gives the same profiles and deviations it gave when they were
+drawn with ``shuffle`` and ``choice``, without those methods' two Python
+calls per word: each step calls ``getrandbits`` with the rule of
+``_randbelow``.  The sp deviation draws the words of the rows it does not
+keep without building them, and the ri deviation builds only the raised
+order it picks.  The test suite keeps the ``shuffle``/``choice`` draws as
+twins and fails if a CPython release changes how they consume the stream.
+
 A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
 those of the pairwise scans, deterministic and minimal in enumeration order
@@ -755,9 +764,9 @@ class _ClassTable:
     def block(self, b):
         """The codes of block b, the profiles that share their first two orders:
         the entries of its two head classes, filled, gathered through index."""
-        d0, d1 = self.space.digits_of(b * self.space.block)[:2]
-        start = self.offsets[0][d0] + self.offsets[1][d1]
-        end = start + self.weights[1]
+        head = self.space.digits_of(b * self.space.block)[:2]  # one digit at n=1
+        start = sum(map(list.__getitem__, self.offsets, head))
+        end = start + self.weights[len(head) - 1]
         self.fill(start, end)
         sub = self.codes[start:end]
         return sub if self.gather is None else bytes(self.gather(sub))
@@ -944,7 +953,7 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
             tuple(offset[o[:q] + o[-1:] + o[q:-1]] - offset[o] for q in range(n - 1)) for o in orders
         ])
 
-    inner = tuple(itertools.product(range(space.radix), repeat=n - 2))  # in block order
+    inner = tuple(itertools.product(range(space.radix), repeat=max(0, n - 2)))  # in block order
 
     def first(codes, b):
         head = space.digits_of(b * space.block)[:2]
@@ -1001,15 +1010,65 @@ def _run_ranged(scan, size, jobs):
 # -- public checks ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _shuffle_steps(size):
+    """(s, k) per step of ``random.Random.shuffle`` on ``size`` items: item s
+    swaps with item ``getrandbits(k)``, k = (s+1).bit_length(), drawn again
+    while above s, as ``_randbelow(s + 1)`` draws it."""
+    return tuple((s, (s + 1).bit_length()) for s in range(size - 1, 0, -1))
+
+
+def _sample_row(rng, n, i, reduced):
+    """Division i's order as ``rng.shuffle`` of its pool draws it."""
+    row = [w for w in range(1, n + 1) if w != i] if reduced else list(range(1, n + 1))
+    bits = rng.getrandbits
+    for s, k in _shuffle_steps(len(row)):
+        while (j := bits(k)) > s:
+            pass
+        row[s], row[j] = row[j], row[s]
+    if reduced:
+        row.append(i)
+    return tuple(row)
+
+
+def _skip_rows(rng, n, rows, reduced):
+    """Draw the words of ``rows`` rows of ``_sample_row`` without building them."""
+    bits = rng.getrandbits
+    steps = _shuffle_steps(n - 1 if reduced else n)
+    for _ in range(rows):
+        for s, k in steps:
+            while bits(k) > s:
+                pass
+
+
 def _sample_orders(rng, n, reduced):
-    orders = []
-    for i in range(1, n + 1):
-        pool = [w for w in range(1, n + 1) if w != i] if reduced else list(range(1, n + 1))
-        rng.shuffle(pool)
-        if reduced:
-            pool.append(i)
-        orders.append(tuple(pool))
-    return tuple(orders)
+    return tuple(_sample_row(rng, n, i, reduced) for i in range(1, n + 1))
+
+
+def _sp_draw(rng, orders, i, reduced):
+    """Division i's row of a fresh ``_sample_orders`` draw in place of its
+    report; the words of the other rows are drawn and dropped."""
+    n = len(orders)
+    _skip_rows(rng, n, i - 1, reduced)
+    row = _sample_row(rng, n, i, reduced)
+    _skip_rows(rng, n, n - i, reduced)
+    return orders[: i - 1] + (row,) + orders[i:]
+
+
+def _ri_draw(rng, orders, i, reduced):
+    """Every other row with worker i raised to a uniform position q at or
+    above its own, q drawn as ``rng.choice(_raised_orders(o, i))`` draws it."""
+    out = []
+    for j, o in enumerate(orders, start=1):
+        if j != i:
+            pos = o.index(i)
+            k = (pos + 1).bit_length()
+            while (q := rng.getrandbits(k)) > pos:
+                pass
+            if q < pos:
+                o = o[:q] + (i,) + o[q:pos] + o[pos + 1 :]
+        out.append(o)
+    return tuple(out)
 
 
 def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
@@ -1018,6 +1077,8 @@ def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
     ``sweep(runner)``, and report.  Both return (holds, checked,
     comparisons, witness)."""
     t0 = time.perf_counter()
+    if n < 1:
+        raise MalformedProblem(f"checks need n >= 1 divisions, got {n}")
     mid = as_mechanism_id(mechanism)
     if scope is None:
         scope = Scope("exhaustive", n)
@@ -1082,13 +1143,16 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, *,
         table = _ClassTable(runner, space)
         _SWEEP.clear()
         _SWEEP.update(space=space, table=table)
-        _, _, vio = scan(0, space.radix)
-        if vio is None:
-            _SWEEP["table"] = codes = _outcome_table(table)
-            first = fast(space, codes)
-            if first is None:
-                return True, space.size, holding(space), None
-            _, _, vio = scan(first if exact else space.radix, first + 1)
+        try:
+            _, _, vio = scan(0, space.radix)
+            if vio is None:
+                _SWEEP["table"] = codes = _outcome_table(table)
+                first = fast(space, codes)
+                if first is None:
+                    return True, space.size, holding(space), None
+                _, _, vio = scan(first if exact else space.radix, first + 1)
+        finally:
+            _SWEEP.clear()  # the table and its bytes last one check
         idx, i, other = vio
         orders, deviant = space.profile_at(idx), space.profile_at(other)
         return False, idx + 1, None, witness(
@@ -1105,9 +1169,7 @@ def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
     process for any value."""
     return _deviation_check(
         "sp", mechanism, n, scope, partition, priority,
-        draw=lambda rng, orders, i, reduced: (
-            orders[: i - 1] + (_sample_orders(rng, len(orders), reduced)[i - 1],) + orders[i:]
-        ),
+        draw=_sp_draw,
         beats=operator.lt,
         word="misreport",
         show=lambda runner, deviant, i: {"misreport": list(deviant[i - 1])},
@@ -1125,9 +1187,7 @@ def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
     process for any value."""
     return _deviation_check(
         "ri", mechanism, n, scope, partition, priority,
-        draw=lambda rng, orders, i, reduced: tuple(
-            o if j == i else rng.choice(_raised_orders(o, i)) for j, o in enumerate(orders, 1)
-        ),
+        draw=_ri_draw,
         beats=operator.gt,
         word="improved",
         show=lambda runner, deviant, i: {"improved_problem": runner.problem_dict(deviant)},

@@ -242,6 +242,43 @@ def test_verify_rejects_an_empty_sample(capsys):
     assert "need a count >= 1" in err
 
 
+# n=1: one profile, in which division 1 keeps worker 1
+ONE_DIVISION = {"sp": "holds", "ri": "holds", "ce": "fails", "cee": "fails", "pareto": "holds"}
+
+
+@pytest.mark.parametrize("prop", sorted(ONE_DIVISION))
+@pytest.mark.parametrize("tag", ("ttc", "bttc"))
+def test_verify_one_division_gives_a_verdict(capsys, tag, prop):
+    code, payload, _ = run_json(capsys, "verify", "--mechanism", tag, "--property", prop, "--n", "1")
+    assert payload["verdict"] == ONE_DIVISION[prop] and payload["checked"] == 1
+    assert code == {"holds": 0, "fails": 1}[payload["verdict"]]
+
+
+@pytest.mark.parametrize("prop", sorted(ONE_DIVISION))
+@pytest.mark.parametrize("tag", ("ttc", "bttc"))
+def test_verify_no_divisions_exits_two(capsys, tag, prop):
+    code, out, err = run_cli(capsys, "verify", "--mechanism", tag, "--property", prop, "--n", "0")
+    assert code == 2 and not out
+    assert "need n >= 1" in err
+
+
+def test_verify_own_position_one_division_holds(capsys):
+    code, payload, _ = run_json(
+        capsys, "verify", "--mechanism", "ttc", "--property", "own-position", "--n", "1"
+    )
+    assert code == 0 and payload["verdict"] == "holds" and payload["checked"] == 1
+
+
+def test_verify_sampled_no_divisions_exits_two(capsys):
+    # a sample of the empty profile would read "holds" about nothing
+    code, out, err = run_cli(
+        capsys, "verify", "--mechanism", "ttc", "--property", "pareto", "--n", "0",
+        "--scope", "sampled", "--count", "2",
+    )
+    assert code == 2 and not out
+    assert "need n >= 1" in err
+
+
 N4_ROWS = [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]
 
 

@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from reassign.mechanisms import (
     MECHANISM_TAGS,
+    _csd_core,
     _cycles,
     _first_available,
+    _group_tables,
+    _sd_groups_core,
+    _tsd_core,
     _ttc_core,
     final_order,
     initial_derangement,
@@ -31,6 +35,7 @@ from reassign.model import (
     problem_from_dict,
 )
 from reassign.partition import blocks_from_sizes, canonical_partition, largest_first_construct
+from test_order_classes import all_assignment_partitions
 
 CE_TAGS = ("csd", "tsd", "cettc", "npb", "sd")
 
@@ -507,3 +512,103 @@ def test_ttc_core_matches_rounds_n4_stride():
 ))
 def test_ttc_core_matches_rounds(orders):
     assert _ttc_core(orders) == round_ttc_core(orders)
+
+
+# -- the pool cores against their set-rebuilding twins ---------------------------------
+
+
+def twin_sd_groups_core(order, group_of, pools, orders):
+    """Slow twin of the sd core: each pick rebuilds the pool minus the
+    workers taken so far."""
+    n = len(orders)
+    taken = set()
+    mapping = [0] * n
+    for i in order:
+        pool = pools[group_of[i]]
+        w = _first_available(orders[i - 1], set(pool) - taken)
+        mapping[i - 1] = w
+        taken.add(w)
+    return tuple(mapping), None
+
+
+def twin_csd_core(priority, group_of, pools, orders):
+    """Slow twin of the csd core: sets rebuilt per pick, and the fallback is
+    the unchosen division first in the priority, found by min."""
+    n = len(orders)
+    pr_pos = {i: p for p, i in enumerate(priority)}
+    taken = set()
+    unchosen = set(range(1, n + 1))
+    mapping = [0] * n
+    steps = []
+    chooser, kind = priority[0], "start"
+    for t in range(1, n + 1):
+        pool = set(pools[group_of[chooser]]) - taken
+        w = _first_available(orders[chooser - 1], pool)
+        mapping[chooser - 1] = w
+        taken.add(w)
+        unchosen.discard(chooser)
+        steps.append((t, chooser, w, kind))
+        if not unchosen:
+            break
+        if w in unchosen:  # owner of worker w is division w
+            chooser, kind = w, "owner-call"
+        else:
+            chooser, kind = min(unchosen, key=pr_pos.__getitem__), "fallback"
+    return tuple(mapping), steps
+
+
+def twin_tsd_core(priority, group_of, pools, orders):
+    """Slow twin of the tsd core, over the twin sd core."""
+    available = set(range(1, len(orders) + 1))
+    noms = []
+    for t, i in enumerate(priority, start=1):
+        pool = set(pools[group_of[i]]) & available
+        w = _first_available(orders[i - 1], pool)
+        available.discard(w)
+        noms.append((t, i, w, "nominate"))
+    final = tuple(s[2] for s in noms)
+    return twin_sd_groups_core(final, group_of, pools, orders)[0], noms
+
+
+POOL_CORES = ((_csd_core, twin_csd_core), (_tsd_core, twin_tsd_core), (_sd_groups_core, twin_sd_groups_core))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_pool_cores_match_twins_every_partition_and_priority(n):
+    # every reduced profile meets every partition; at n=4 each priority runs
+    # one seventh of the 1,296 profiles, a rotating seventh, to keep this fast
+    partitions = all_assignment_partitions(n)
+    profiles = [p.orders for p in reduced_profiles(n)]
+    for partition in partitions:
+        tables = _group_tables(partition)
+        for k, priority in enumerate(itertools.permutations(range(1, n + 1))):
+            for orders in profiles[k % 7 :: 7] if n == 4 else profiles:
+                for core, twin in POOL_CORES:
+                    assert core(priority, *tables, orders) == twin(priority, *tables, orders), (
+                        core.__name__, partition, priority, orders,
+                    )
+
+
+@st.composite
+def pool_core_case(draw):
+    n = draw(st.integers(5, 9))
+    sizes = []  # no group holds more than half of the divisions
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, min(n - sum(sizes), n // 2))))
+    divisions = draw(st.permutations(range(1, n + 1)))
+    cuts = list(itertools.accumulate(sizes))
+    groups = [divisions[a:b] for a, b in zip([0] + cuts, cuts)]
+    partition = largest_first_construct(groups)
+    priority = tuple(draw(st.permutations(range(1, n + 1))))
+    orders = tuple(tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(n))
+    return partition, priority, orders
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_core_case())
+def test_pool_cores_match_twins_sampled(case):
+    # the priority doubles as the sd order; full orders, so own workers sit anywhere
+    partition, priority, orders = case
+    tables = _group_tables(partition)
+    for core, twin in POOL_CORES:
+        assert core(priority, *tables, orders) == twin(priority, *tables, orders)

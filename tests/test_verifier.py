@@ -466,6 +466,67 @@ def test_sampled_scopes():
     assert check_ri("tsd", 6, Scope("sampled", 6, count=150, seed=3)).holds
 
 
+# -- sampled draws against their random.Random twins --------------------------------
+
+
+def twin_sample_orders(rng, n, reduced):
+    """Slow twin of the sampled profile draw: ``rng.shuffle`` per row."""
+    orders = []
+    for i in range(1, n + 1):
+        pool = [w for w in range(1, n + 1) if w != i] if reduced else list(range(1, n + 1))
+        rng.shuffle(pool)
+        if reduced:
+            pool.append(i)
+        orders.append(tuple(pool))
+    return tuple(orders)
+
+
+def twin_sp_draw(rng, orders, i, reduced):
+    """Slow twin of the sp deviation: a whole fresh profile, one row kept."""
+    return orders[: i - 1] + (twin_sample_orders(rng, len(orders), reduced)[i - 1],) + orders[i:]
+
+
+def twin_ri_draw(rng, orders, i, reduced):
+    """Slow twin of the ri deviation: ``rng.choice`` over every raise."""
+    return tuple(
+        o if j == i else rng.choice(verifier._raised_orders(o, i)) for j, o in enumerate(orders, 1)
+    )
+
+
+@pytest.mark.parametrize("reduced", (True, False))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_draws_match_random_word_for_word(n, reduced):
+    # fails if CPython changes how shuffle or _randbelow draw their words
+    for seed in range(60):
+        rng, twin = random.Random(seed), random.Random(seed)
+        orders = verifier._sample_orders(rng, n, reduced)
+        assert orders == twin_sample_orders(twin, n, reduced)
+        assert rng.getstate() == twin.getstate()
+        for i in range(1, n + 1):
+            for draw, twin_draw in ((verifier._sp_draw, twin_sp_draw), (verifier._ri_draw, twin_ri_draw)):
+                assert draw(rng, orders, i, reduced) == twin_draw(twin, orders, i, reduced)
+                assert rng.getstate() == twin.getstate(), (seed, i, draw.__name__)
+
+
+@pytest.mark.parametrize("tag", MECHANISM_TAGS)
+def test_sampled_reports_match_twin_draws(tag, monkeypatch):
+    def reports():
+        out = []
+        for n in (5, 6, 7, 8):
+            scope = Scope("sampled", n, count=100, seed=n)
+            for prop in sorted(CHECKS):
+                report = CHECKS[prop](tag, n, scope).to_dict()
+                report.pop("elapsed_s")
+                out.append(report)
+        return out
+
+    fast = reports()
+    monkeypatch.setattr(verifier, "_sample_orders", twin_sample_orders)
+    monkeypatch.setattr(verifier, "_sp_draw", twin_sp_draw)
+    monkeypatch.setattr(verifier, "_ri_draw", twin_ri_draw)
+    assert fast == reports()
+
+
 def test_trading_ri_after_three_is_empirical():
     report = check_ri("cettc", 4, Scope("sampled", 4, count=1500, seed=5))
     if not report.holds:
@@ -979,6 +1040,15 @@ def test_deviation_checks_start_no_pool_for_any_jobs(check, tag, n, monkeypatch)
     solo.pop("elapsed_s")
     multi.pop("elapsed_s")
     assert multi == solo
+
+
+@pytest.mark.parametrize("check,tag,n,holds", [
+    (check_sp, "csd", 3, True), (check_sp, "npb", 4, False),
+    (check_ri, "csd", 3, True), (check_ri, "cettc", 3, False),
+])
+def test_deviation_sweeps_leave_no_state(check, tag, n, holds):
+    assert check(tag, n).holds == holds
+    assert verifier._SWEEP == {}
 
 
 def test_own_position_report_is_the_same_for_any_jobs():
