@@ -3,9 +3,13 @@ build partitions, and emit reproduction reports.
 
 Exit codes: 0 success / property holds, 1 property or reproduction fails,
 2 parse error, 3 infeasibility, 4 enumeration bound exceeded.
+
+``main`` may be called repeatedly in one process: the argument parser is
+built on the first call and reused, and nothing else outlives a call.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +47,7 @@ def parse_problem(text: str) -> Problem:
 def serialize_problem(problem: Problem) -> str:
     """Canonical form: 2-space indent, fixed key order, trailing newline.
     parse -> serialize is byte-stable on canonical files."""
-    return json.dumps(problem_to_dict(problem), indent=2) + "\n"
+    return _dumps(problem_to_dict(problem)) + "\n"
 
 
 def load_problem(path: str) -> Problem:
@@ -88,9 +92,37 @@ def _tool_dict():
     return {"name": "reassign", "version": __version__}
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, with every line after the first
+    indented by ``pad``, but with every container of scalars written by the
+    C encoder (any ``indent`` sends the standard library to its pure-Python
+    one)."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)  # a scalar or an empty container: one line either way
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    if not isinstance(next(iter(obj.values())) if is_dict else obj[0], _CONTAINERS):
+        text = json.dumps(obj, separators=(",\n" + inner, ": "))
+        # A bracket past the first is a nested container, or a string
+        # holding one; either way the item-wise path below is exact.
+        if text.find("{", 1) < 0 and text.find("[", 1) < 0:
+            return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
+    if not is_dict:
+        items = [_dumps(item, inner) for item in obj]
+    elif all(type(key) is str for key in obj):
+        items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
+    else:  # keys the encoder converts; JSON escapes every "\n" inside a string
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(text)
 
@@ -161,7 +193,7 @@ def _witness_text(witness: dict) -> str:
     out.extend(f"  {key}: {witness[key]}" for key in head)
     for key in problems:
         out.append(f"  {key} (replayable problem file):")
-        out.extend("    " + line for line in json.dumps(witness[key], indent=2).splitlines())
+        out.extend("    " + line for line in _dumps(witness[key]).splitlines())
     rest = sorted(set(witness) - set(head) - set(problems))
     out.extend(f"  {key}: {witness[key]}" for key in rest)
     return "\n".join(out)
@@ -208,17 +240,16 @@ def cmd_partition(args) -> int:
             if part
         ]
     partition = largest_first_construct(groups)
-    payload = {
-        "tool": _tool_dict(),
-        "groups": partition.to_list(),
-    }
+    if args.format == "json":  # render only the format asked for: n may be large
+        print(_dumps({"tool": _tool_dict(), "groups": partition.to_list()}))
+        return EXIT_OK
     lines = ["partition:"]
     for g in partition.groups:
         lines.append(
             "  divisions " + ",".join(map(str, g.divisions))
             + " <- workers " + ",".join(map(str, g.workers))
         )
-    _emit(args, payload, "\n".join(lines))
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -294,8 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call (not at import)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors

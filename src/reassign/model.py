@@ -198,29 +198,26 @@ class AssignmentPartition:
         object.__setattr__(self, "groups", groups)
         if len(groups) < 2:
             raise Infeasible("an assignment partition needs at least two groups")
-        divs = [i for g in groups for i in g.divisions]
-        works = [w for g in groups for w in g.workers]
-        n = len(divs)
-        ground = set(range(1, n + 1))
-        if len(set(divs)) != n or set(divs) != ground:
+        index = {}  # division -> 0-based group
+        for k, g in enumerate(groups):
+            index.update(zip(g.divisions, itertools.repeat(k)))
+        n = sum(len(g.divisions) for g in groups)
+        ground = range(1, n + 1)
+        if len(index) != n or not all(map(index.__contains__, ground)):
             raise Infeasible("division sets must partition 1..n")
-        if len(works) != n or set(works) != ground:
+        workers = set().union(*(g.workers for g in groups))
+        if (sum(len(g.workers) for g in groups) != n or len(workers) != n
+                or not workers.issuperset(ground)):
             raise Infeasible("worker sets must partition 1..n")
-        for k, g in enumerate(groups, start=1):
+        for k, g in enumerate(groups):
             if len(g.divisions) != len(g.workers):
                 raise Infeasible(
-                    f"group {k} has {len(g.divisions)} divisions "
+                    f"group {k + 1} has {len(g.divisions)} divisions "
                     f"but {len(g.workers)} workers"
                 )
-            overlap = set(g.divisions) & set(g.workers)
-            if overlap:
-                raise Infeasible(
-                    f"group {k} offers divisions their own workers: {sorted(overlap)}"
-                )
-        index = {}
-        for k, g in enumerate(groups):
-            for i in g.divisions:
-                index[i] = k
+            if k in map(index.__getitem__, g.workers):
+                overlap = sorted(set(g.divisions) & set(g.workers))
+                raise Infeasible(f"group {k + 1} offers divisions their own workers: {overlap}")
         object.__setattr__(self, "_group_of", index)
 
     @property

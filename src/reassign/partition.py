@@ -9,16 +9,20 @@ largest-first construction below builds one in linear time.
 
 from __future__ import annotations
 
+import sys
+
 from .model import AssignmentPartition, Infeasible, MalformedProblem
 
 
 def _validated_groups(groups) -> list[list[int]]:
     groups = [list(g) for g in groups]
-    if any(not g for g in groups):
+    if not groups:
+        raise MalformedProblem("no division groups were given")
+    if not all(groups):
         raise MalformedProblem("empty division groups are not allowed")
-    flat = [i for g in groups for i in g]
-    n = len(flat)
-    if len(set(flat)) != n or set(flat) != set(range(1, n + 1)):
+    n = sum(map(len, groups))
+    members = set().union(*groups)
+    if len(members) != n or not members.issuperset(range(1, n + 1)):
         raise MalformedProblem("division groups must partition 1..n")
     return groups
 
@@ -64,9 +68,8 @@ def largest_first_construct_counted(groups) -> tuple[AssignmentPartition, int]:
     rest = [k for k in range(len(groups)) if k != big]
     queue: list[int] = []
     for k in [big] + rest:
-        for i in sorted(groups[k]):
-            queue.append(i)
-            steps += 1
+        queue.extend(sorted(groups[k]))
+    steps += len(queue)
 
     pools: list[list[int]] = [[] for _ in groups]
     front = 0
@@ -89,6 +92,8 @@ def blocks_from_sizes(sizes) -> list[list[int]]:
     sizes = list(sizes)
     if not sizes or any(s <= 0 for s in sizes):
         raise MalformedProblem("sizes must be positive integers")
+    if sum(sizes) > sys.maxsize:
+        raise MalformedProblem(f"sizes must sum to at most {sys.maxsize}")
     blocks = []
     nxt = 1
     for s in sizes:

@@ -104,6 +104,7 @@ import math
 import multiprocessing as mp
 import operator
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -1072,25 +1073,24 @@ def _ri_draw(rng, orders, i, reduced):
 
 
 def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
-    """The driver every check runs through: resolve the scope, bind the
-    runner, run ``sampled(runner, scope)`` or, under the size cap,
+    """The driver every check runs through: resolve the scope, test the size
+    cap, bind the runner, run ``sampled(runner, scope)`` or
     ``sweep(runner)``, and report.  Both return (holds, checked,
     comparisons, witness)."""
     t0 = time.perf_counter()
     if n < 1:
         raise MalformedProblem(f"checks need n >= 1 divisions, got {n}")
+    if n > sys.maxsize:
+        raise MalformedProblem(f"checks need n <= {sys.maxsize} divisions, got {n}")
     mid = as_mechanism_id(mechanism)
     if scope is None:
         scope = Scope("exhaustive", n)
     elif scope.n != n:
         raise MalformedProblem("scope.n must match n")
-    runner = _Runner(mid, n, partition, priority)
-    if scope.kind == "sampled":
-        result = sampled(runner, scope)
-    elif n > _EXHAUSTIVE_MAX_N:
+    if scope.kind == "exhaustive" and n > _EXHAUSTIVE_MAX_N:
         raise EnumerationBoundExceeded(f"exhaustive sweeps are capped at n={_EXHAUSTIVE_MAX_N}")
-    else:
-        result = sweep(runner)
+    runner = _Runner(mid, n, partition, priority)
+    result = sampled(runner, scope) if scope.kind == "sampled" else sweep(runner)
     return PropertyReport(prop, runner.label(), scope, *result, time.perf_counter() - t0)
 
 

@@ -9,7 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reassign.cli import build_parser, main, parse_problem, serialize_problem
+from reassign import cli, verifier
+from reassign.cli import _dumps, build_parser, main, parse_problem, serialize_problem
 from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS, effective_partition
 from reassign.model import Infeasible, MalformedProblem, problem_from_dict
 from reassign.verifier import ORACLES
@@ -421,6 +422,28 @@ def test_verify_over_bound(capsys):
     assert code == 4 and "capped" in err
 
 
+def test_verify_over_bound_exits_before_binding_the_runner(capsys, monkeypatch):
+    # the cap is tested first: no canonical partition of two million divisions
+    def refuse(n):
+        raise AssertionError(f"canonical_partition({n}) built past the cap")
+
+    monkeypatch.setattr(verifier, "canonical_partition", refuse)
+    code, out, err = run_cli(
+        capsys, "verify", "--mechanism", "csd", "--property", "sp", "--n", "2000000"
+    )
+    assert code == 4 and not out
+    assert "capped at n=4" in err
+
+
+def test_verify_oversized_n_is_a_parse_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--mechanism", "csd", "--property", "sp",
+        "--n", "99999999999999999999",
+    )
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 # -- partition -------------------------------------------------------------------------
 
 
@@ -444,9 +467,16 @@ def test_partition_infeasible_sizes(capsys):
     assert code == 3 and err
 
 
-def test_partition_bad_sizes(capsys):
-    code, _, err = run_cli(capsys, "partition", "--sizes", "0")
-    assert code == 2
+@pytest.mark.parametrize("argv, message", [
+    (("--sizes", "0"), "sizes must be positive integers"),
+    # past sys.maxsize: refused before any range is built, not an OverflowError
+    (("--sizes", "99999999999999999999,1"), "sizes must sum to at most"),
+    (("--groups", ";"), "no division groups were given"),
+])
+def test_partition_bad_sizes(capsys, argv, message):
+    code, out, err = run_cli(capsys, "partition", *argv)
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and message in err
 
 
 # -- repro -------------------------------------------------------------------------------
@@ -475,6 +505,71 @@ def test_repro_json_format(capsys):
 
 
 # -- plumbing ---------------------------------------------------------------------------
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["[", "{", "]", "}", "a[1]", "{x}", "\n", "é", "\u2028", "\ud83d\ude00"])
+)
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: (
+        st.lists(kids, max_size=6)
+        | st.lists(kids, max_size=6).map(tuple)
+        | st.dictionaries(st.text(), kids, max_size=5)
+        | st.dictionaries(JSON_KEYS, kids, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_matches_the_stdlib_indented_encoder(obj):
+    # json.dumps(indent=2) is the oracle; the draws include NaN and +-inf,
+    # strings holding brackets or non-ASCII text, and dicts with non-str keys
+    expected = json.dumps(obj, indent=2)
+    assert _dumps(obj) == expected
+    nested = json.dumps({"key": [obj]}, indent=2)
+    assert nested == '{\n  "key": [\n    ' + _dumps(obj, "    ") + "\n  ]\n}"
+
+
+def test_dumps_matches_the_stdlib_on_long_lists():
+    payload = {"groups": [{"divisions": list(range(1, 5001)), "names": ["a[", "b"] * 50}]}
+    assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+def stripped(result):
+    """A call's result without its timings, which differ from run to run."""
+    code, out, err = result
+    lines = out.splitlines()
+    return code, [l for l in lines if not l.startswith("elapsed:") and '"elapsed_s":' not in l], err
+
+
+STATEFUL_SEQUENCES = (
+    # the append action: a later call without --certify certifies nothing
+    (("run", str(PROBLEMS / "intro.json"), "--mechanism", "ttc", "--certify", "ce",
+      "--certify", "pareto"),
+     ("run", str(PROBLEMS / "intro.json"), "--mechanism", "ttc")),
+    # a format given once does not stick
+    (("partition", "--sizes", "3,3,2", "--format", "json"),
+     ("partition", "--sizes", "3,3,2"),
+     ("verify", "--mechanism", "csd", "--property", "sp", "--n", "3", "--format", "json"),
+     ("verify", "--mechanism", "cettc", "--property", "ri", "--n", "3")),
+    # a usage error leaves the parser as it was
+    (("run",), ("verify", "--mechanism", "csd", "--property", "nope", "--n", "3"),
+     ("run", str(PROBLEMS / "intro.json"), "--mechanism", "csd", "--mu0", "seed:3")),
+)
+
+
+@pytest.mark.parametrize("calls", STATEFUL_SEQUENCES)
+def test_main_keeps_no_state_between_calls(capsys, monkeypatch, calls):
+    shared = [stripped(run_cli(capsys, *argv)) for argv in calls]
+    assert cli._parser() is cli._parser()  # built once per process
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+    fresh = [stripped(run_cli(capsys, *argv)) for argv in calls]
+    assert shared == fresh
 
 
 def test_usage_errors_exit_two(capsys):

@@ -131,6 +131,100 @@ def test_partition_validation():
         AssignmentPartition((PartitionGroup((1, 2), (3, 3)), PartitionGroup((3, 4), (1, 2))))
 
 
+def twin_partition_checks(groups):
+    """The checks AssignmentPartition made before its linear passes, kept as
+    a slow twin: a set per side and per group, and the index built per
+    division.  Returns the group index or raises as they did."""
+    groups = tuple(g if isinstance(g, PartitionGroup) else PartitionGroup(*g) for g in groups)
+    if len(groups) < 2:
+        raise Infeasible("an assignment partition needs at least two groups")
+    divs = [i for g in groups for i in g.divisions]
+    works = [w for g in groups for w in g.workers]
+    n = len(divs)
+    ground = set(range(1, n + 1))
+    if len(set(divs)) != n or set(divs) != ground:
+        raise Infeasible("division sets must partition 1..n")
+    if len(works) != n or set(works) != ground:
+        raise Infeasible("worker sets must partition 1..n")
+    for k, g in enumerate(groups, start=1):
+        if len(g.divisions) != len(g.workers):
+            raise Infeasible(
+                f"group {k} has {len(g.divisions)} divisions "
+                f"but {len(g.workers)} workers"
+            )
+        overlap = set(g.divisions) & set(g.workers)
+        if overlap:
+            raise Infeasible(
+                f"group {k} offers divisions their own workers: {sorted(overlap)}"
+            )
+    index = {}
+    for k, g in enumerate(groups):
+        for i in g.divisions:
+            index[i] = k
+    return index
+
+
+@st.composite
+def partition_candidates(draw):
+    """Random splits of 1..n into division groups and equal-sized pools,
+    then up to three faults: a member added (a duplicate or a gap past n),
+    one dropped (a gap), or one moved to another group (a size mismatch).
+    Own workers and single groups come from the draw itself."""
+    n = draw(st.integers(0, 9))
+    k = draw(st.integers(1, 4))
+    divs = [[] for _ in range(k)]
+    for i in range(1, n + 1):
+        divs[draw(st.integers(0, k - 1))].append(i)
+    order = draw(st.permutations(range(1, n + 1)))
+    works, start = [], 0
+    for d in divs:
+        works.append(list(order[start : start + len(d)]))
+        start += len(d)
+    for _ in range(draw(st.integers(0, 3))):
+        side = draw(st.sampled_from((divs, works)))
+        j = draw(st.integers(0, k - 1))
+        fault = draw(st.sampled_from(("add", "drop", "move")))
+        if fault == "add":
+            side[j].append(draw(st.integers(0, n + 1)))
+        elif side[j]:
+            member = side[j].pop(draw(st.integers(0, len(side[j]) - 1)))
+            if fault == "move":
+                side[draw(st.integers(0, k - 1))].append(member)
+    groups = [(tuple(d), tuple(w)) for d, w in zip(divs, works)]
+    if draw(st.booleans()):
+        groups = [PartitionGroup(*g) for g in groups]
+    return tuple(groups)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(partition_candidates())
+def test_partition_checks_match_their_twin(groups):
+    try:
+        index = twin_partition_checks(groups)
+    except Infeasible as exc:
+        with pytest.raises(Infeasible) as got:
+            AssignmentPartition(groups)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    part = AssignmentPartition(groups)
+    assert {i: part.group_index_of(i) for i in range(1, part.n + 1)} == index
+
+
+def test_partition_checks_match_their_twin_at_scale():
+    # the canonical partitions and a shuffled split of 1..3000
+    import random
+
+    rng = random.Random(7)
+    cases = [canonical_partition(n).groups for n in (2, 3, 8, 999, 1000)]
+    order = list(range(1, 3001))
+    rng.shuffle(order)
+    divs = [sorted(order[:1000]), sorted(order[1000:2200]), sorted(order[2200:])]
+    pools = (divs[1][:1000], divs[2] + divs[0][:400], divs[0][400:] + divs[1][1000:])
+    cases.append(tuple(zip(divs, pools)))
+    for groups in cases:
+        assert AssignmentPartition(groups)._group_of == twin_partition_checks(groups)
+
+
 # -- problems ----------------------------------------------------------------------
 
 

@@ -138,6 +138,46 @@ def test_blocks_from_sizes():
     assert blocks_from_sizes([2, 3]) == [[1, 2], [3, 4, 5]]
     with pytest.raises(MalformedProblem):
         blocks_from_sizes([2, -1])
+    with pytest.raises(MalformedProblem, match="sum to at most"):
+        blocks_from_sizes([10**20, 1])  # past sys.maxsize: refused before any range is built
+
+
+def twin_validated_groups(groups):
+    """The division-group checks made before their linear passes (one flat
+    list, two sets), kept as a slow twin."""
+    groups = [list(g) for g in groups]
+    if not groups:
+        raise MalformedProblem("no division groups were given")
+    if any(not g for g in groups):
+        raise MalformedProblem("empty division groups are not allowed")
+    flat = [i for g in groups for i in g]
+    n = len(flat)
+    if len(set(flat)) != n or set(flat) != set(range(1, n + 1)):
+        raise MalformedProblem("division groups must partition 1..n")
+    return groups
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 8), max_size=4), max_size=4))
+def test_group_checks_match_their_twin(groups):
+    try:
+        expected = twin_validated_groups(groups)
+    except MalformedProblem as exc:
+        with pytest.raises(MalformedProblem) as got:
+            largest_first_construct(groups)
+        assert str(got.value) == str(exc)
+        return
+    try:
+        partition = largest_first_construct(groups)
+    except Infeasible:
+        assert not partition_exists([len(g) for g in expected])
+        return
+    assert [list(g.divisions) for g in partition.groups] == [sorted(g) for g in expected]
+
+
+def test_construct_names_a_missing_group_list():
+    with pytest.raises(MalformedProblem, match="no division groups were given"):
+        largest_first_construct([])
 
 
 # -- scaling -------------------------------------------------------------------
