@@ -1073,7 +1073,7 @@ def _ri_draw(rng, orders, i, reduced):
 
 
 def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
-    """The driver every check runs through: resolve the scope, test the size
+    """The path every check runs through: resolve the scope, test the size
     cap, bind the runner, run ``sampled(runner, scope)`` or
     ``sweep(runner)``, and report.  Both return (holds, checked,
     comparisons, witness)."""
