@@ -95,6 +95,13 @@ def _tool_dict():
 _CONTAINERS = (dict, list, tuple)
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_encode(inner: str):
+    """``json.dumps(obj, separators=(",\n" + inner, ": "))``, from one
+    encoder object per indent instead of a new one on every call."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+
+
 def _dumps(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2)``, with every line after the first
     indented by ``pad``, but with every container of scalars written by the
@@ -105,7 +112,7 @@ def _dumps(obj, pad: str = "") -> str:
     inner = pad + "  "
     is_dict = isinstance(obj, dict)
     if not isinstance(next(iter(obj.values())) if is_dict else obj[0], _CONTAINERS):
-        text = json.dumps(obj, separators=(",\n" + inner, ": "))
+        text = _flat_encode(inner)(obj)
         # A bracket past the first is a nested container, or a string
         # holding one; either way the item-wise path below is exact.
         if text.find("{", 1) < 0 and text.find("[", 1) < 0:
@@ -204,6 +211,8 @@ def cmd_verify(args) -> int:
         raise MalformedProblem(
             f"unknown property {args.property!r}; pick from {', '.join(sorted(CHECKS))}"
         )
+    if args.jobs < 1:
+        raise MalformedProblem(f"--jobs must be >= 1, got {args.jobs}")
     mid = _mechanism_id(args)
     scope = None
     if args.scope == "sampled":

@@ -11,15 +11,16 @@ deliberately does not (divisions may keep their own worker).
 Cores are plain functions over order tuples so that exhaustive sweeps can
 skip dataclass construction.  Each takes its bound arguments first and the
 orders last, and returns (mapping, steps): steps are (t, chooser, worker,
-kind) tuples, or None for a mechanism that keeps no trace.  The classic
-top-trading core keeps none, so it follows one pointer path at a time and
-clears each cycle as the path closes; the trading cores that keep a trace
-(cettc, bttc) clear cycles round by round through ``_cycles``, because their
-traces list events in that order.  The pool cores (csd, tsd, sd) keep one
-set of untaken workers per group pool and discard each pick from it, since
-the pools are disjoint; csd marks chosen divisions in a list, and its
-fallback walks a pointer forward through the priority, since chosen
-divisions never become unchosen.
+kind) tuples, or None for a mechanism that keeps no trace.  No core copies
+a set per pick.  In the trading cores each division's pointer into its order
+only moves forward, since a worker that has left never returns: ttc follows
+one pointer path at a time and clears each cycle as it closes; cettc and
+bttc, whose traces list events round by round, point every remaining
+division each round and clear the cycles ``_cycles`` finds, smallest member
+first.  The pool cores (csd, tsd, sd) keep a set of untaken workers per
+disjoint group pool and scan the picker's order for the first one in it;
+csd's and npb's fallbacks walk a pointer forward through the priority or
+the draft, since nobody who has chosen chooses again.
 
 The ``MECHANISMS`` registry, keyed by tag, is the one place that knows each
 mechanism: how to bind its core to everything but the orders, whether it
@@ -67,13 +68,6 @@ def _group_tables(partition):
     return group_of, pools
 
 
-def _first_available(order, available):
-    for w in order:
-        if w in available:
-            return w
-    raise AssertionError("empty choice set")  # pools are sized to never run dry
-
-
 # -- serial dictatorships ---------------------------------------------------
 
 
@@ -82,8 +76,10 @@ def _sd_groups_core(order, group_of, pools, orders):
     mapping = [0] * len(orders)
     for i in order:
         pool = free[group_of[i]]
-        w = _first_available(orders[i - 1], pool)
-        pool.discard(w)
+        for w in orders[i - 1]:
+            if w in pool:
+                break
+        pool.remove(w)  # raises if the scan found none: pools never run dry
         mapping[i - 1] = w
     return tuple(mapping), None
 
@@ -111,8 +107,10 @@ def _csd_core(priority, group_of, pools, orders):
     chooser, kind = priority[0], "start"
     for t in range(1, n + 1):
         pool = free[group_of[chooser]]
-        w = _first_available(orders[chooser - 1], pool)
-        pool.discard(w)
+        for w in orders[chooser - 1]:
+            if w in pool:
+                break
+        pool.remove(w)
         mapping[chooser - 1] = w
         chosen[chooser] = True
         steps.append((t, chooser, w, kind))
@@ -140,14 +138,17 @@ def run_csd(problem: Problem) -> tuple[Assignment, Trace]:
 def _tsd_core(priority, group_of, pools, orders):
     free = list(map(set, pools))
     noms = []
+    final = []  # owner of worker w is division w
     for t, i in enumerate(priority, start=1):
         pool = free[group_of[i]]
-        w = _first_available(orders[i - 1], pool)
-        pool.discard(w)
+        for w in orders[i - 1]:
+            if w in pool:
+                break
+        pool.remove(w)
         noms.append((t, i, w, "nominate"))
+        final.append(w)
     # Owners of nominated workers, in nomination order, become the final
     # priority; the assignment is a fresh groupwise dictatorship under it.
-    final = tuple(s[2] for s in noms)  # owner of worker w is division w
     return _sd_groups_core(final, group_of, pools, orders)[0], noms
 
 
@@ -210,59 +211,54 @@ def initial_derangement(n: int, mu0="cyclic", seed: int | None = None):
 
 
 def _cycles(succ, nodes):
-    """Cycles of a functional graph restricted to ``nodes``, each cycle as a
-    tuple starting at its smallest member, cycles sorted by that member."""
-    nodes = set(nodes)
-    on_cycle = set()
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        path = []
-        pos = {}
-        v = start
-        while v not in pos and v not in seen:
-            pos[v] = len(path)
-            path.append(v)
-            v = succ[v]
-        if v in pos:  # fresh cycle closed
-            on_cycle.update(path[pos[v] :])
-        seen.update(path)
+    """Cycles of the functional graph ``succ`` (a list indexed by node)
+    restricted to ``nodes`` (ascending), each cycle as a list starting at its
+    smallest member, cycles sorted by that member."""
+    seen = [0] * len(succ)  # the start of the walk that reached a node
     out = []
-    done = set()
-    for v in sorted(on_cycle):
-        if v in done:
+    for start in nodes:
+        if seen[start]:
             continue
-        cyc = [v]
-        w = succ[v]
-        while w != v:
-            cyc.append(w)
-            w = succ[w]
-        done.update(cyc)
-        out.append(tuple(cyc))
+        v = start
+        while not seen[v]:
+            seen[v] = start
+            v = succ[v]
+        if seen[v] == start:  # this walk closed a fresh cycle through v
+            cyc = [v]
+            while succ[cyc[-1]] != v:
+                cyc.append(succ[cyc[-1]])
+            k = cyc.index(min(cyc))
+            out.append(cyc[k:] + cyc[:k])
+    out.sort()  # cycles are disjoint: their first members decide
     return out
 
 
 def _cettc_core(mu0, orders):
     n = len(orders)
-    holder = {mu0[i - 1]: i for i in range(1, n + 1)}  # worker -> temp owner
-    active = set(range(1, n + 1))
-    mapping = [0] * n
+    holder = dict(zip(mu0, range(1, n + 1)))  # worker -> temporary owner
+    gone = [False] * (n + 1)
+    top = [0] * (n + 1)  # a pointer skips the own worker and workers whose holder left
+    succ = [0] * (n + 1)
+    mapping = [0] * (n + 1)  # the worker a division points at, final once it trades
+    active = list(range(1, n + 1))
     events = []
-    rnd = 0
     while active:
-        rnd += 1
-        avail = {mu0[j - 1] for j in active}
-        point = {}
         for i in active:
-            point[i] = _first_available(orders[i - 1], avail - {i})
-        succ = {i: holder[point[i]] for i in active}
+            o = orders[i - 1]
+            k = top[i]
+            w = o[k]
+            while w == i or gone[holder[w]]:
+                k += 1
+                w = o[k]
+            top[i] = k
+            mapping[i] = w
+            succ[i] = holder[w]
         for cyc in _cycles(succ, active):
             for i in cyc:
-                mapping[i - 1] = point[i]
-                events.append((len(events) + 1, i, point[i], "cycle"))
-            active.difference_update(cyc)
-    return tuple(mapping), events
+                events.append((len(events) + 1, i, mapping[i], "cycle"))
+                gone[i] = True
+        active = [i for i in active if not gone[i]]
+    return tuple(mapping[1:]), events
 
 
 def run_cettc(problem: Problem, mu0="cyclic", seed: int | None = None) -> tuple[Assignment, Trace]:
@@ -322,50 +318,52 @@ def run_ttc(problem: Problem) -> Assignment:
 
 def _bttc_core(orders):
     n = len(orders)
-    ranks = tuple({w: r for r, w in enumerate(o)} for o in orders)
-
-    def pref(i, a, b):
-        return ranks[i - 1][a] < ranks[i - 1][b]
-
     # Forward pass: point at the best other remaining division's worker
     # (self if alone); remove every cycle each step.
-    active = set(range(1, n + 1))
-    p = {}
-    stages = []  # list of (step, [cycles...])
-    step = 0
+    gone = [False] * (n + 1)
+    top = [0] * (n + 1)  # a pointer skips the own worker and removed divisions
+    p = [0] * (n + 1)
+    active = list(range(1, n + 1))
+    stages = []  # per step, its cycles
+    settled = []  # divisions in the order their cycles are removed
     while active:
-        step += 1
-        for i in active:
-            others = active - {i}
-            p[i] = min(others, key=ranks[i - 1].__getitem__) if others else i
-        cycs = _cycles({i: p[i] for i in active}, active)
-        stages.append((step, cycs))
+        if len(active) == 1:
+            p[active[0]] = active[0]
+        else:
+            for i in active:
+                o = orders[i - 1]
+                k = top[i]
+                j = o[k]
+                while j == i or gone[j]:
+                    k += 1
+                    j = o[k]
+                top[i] = k
+                p[i] = j
+        cycs = _cycles(p, active)
+        stages.append(cycs)
         for cyc in cycs:
-            active.difference_update(cyc)
+            settled.extend(cyc)
+            for i in cyc:
+                gone[i] = True
+        active = [i for i in active if not gone[i]]
 
     # Backward pass: a cycle unwinds (members keep their own workers) iff
     # every member prefers own to pointed worker and nobody settled in a
     # later step prefers any of this cycle's workers to what they got.
-    mapping = [0] * n
-    decided = []
-    labels = {}
-    for step, cycs in reversed(stages):
+    mapping = [0] * (n + 1)
+    envied = set()  # workers some division settled later ranks above its own outcome
+    for cycs in reversed(stages):
         for cyc in cycs:
-            stay = all(pref(i, i, p[i]) for i in cyc)
-            if stay and decided:
-                stay = all(pref(j, mapping[j - 1], x) for j in decided for x in cyc)
+            stay = envied.isdisjoint(cyc) and all(orders[i - 1].index(i) < top[i] for i in cyc)
             for i in cyc:
-                mapping[i - 1] = i if stay else p[i]
-        for cyc in cycs:
-            decided.extend(cyc)
-            for i in cyc:
-                labels[i] = "stay" if mapping[i - 1] == i else "trade"
-    events = []
-    for step, cycs in stages:
+                mapping[i] = i if stay else p[i]
         for cyc in cycs:
             for i in cyc:
-                events.append((len(events) + 1, i, mapping[i - 1], labels[i]))
-    return tuple(mapping), events
+                o = orders[i - 1]
+                envied.update(o[: o.index(mapping[i])])
+    events = [(t, i, mapping[i], "stay" if mapping[i] == i else "trade")
+              for t, i in enumerate(settled, start=1)]
+    return tuple(mapping[1:]), events
 
 
 def run_bttc(problem: Problem) -> tuple[Assignment, Trace]:
@@ -387,58 +385,58 @@ def run_bttc(problem: Problem) -> tuple[Assignment, Trace]:
 def npb_draft_priority(problem: Problem) -> tuple[int, ...]:
     """Draft order: clubs sorted by votes received on their own player
     (descending), ties broken by the problem's priority."""
-    return _npb_draft(problem.profile.orders, problem.priority)
+    return _npb_draft(problem.profile.orders, problem.priority)[1]
 
 
 def _npb_draft(orders, priority):
-    n = len(orders)
-    vote = {}
-    for i in range(1, n + 1):
-        vote[i] = next(w for w in orders[i - 1] if w != i)
-    count = {i: 0 for i in range(1, n + 1)}
-    for w in vote.values():
+    """(votes, draft): ``votes[i - 1]`` is club i's top player other than its
+    own; the draft is the priority stably sorted by votes received, most
+    first, so ties keep their priority order."""
+    votes = [o[1] if o[0] == i else o[0] for i, o in enumerate(orders, start=1)]
+    count = [0] * (len(orders) + 1)
+    for w in votes:
         count[w] += 1
-    pr_pos = {i: p for p, i in enumerate(priority)}
-    draft = sorted(range(1, n + 1), key=lambda i: (-count[i], pr_pos[i]))
-    return tuple(draft)
+    return votes, tuple(sorted(priority, key=count.__getitem__, reverse=True))
 
 
 def _npb_core(priority, orders):
     n = len(orders)
     if n < 3:
         raise Infeasible("the draft mechanism needs at least three clubs")
-    vote = {i: next(w for w in orders[i - 1] if w != i) for i in range(1, n + 1)}
-    draft = _npb_draft(orders, priority)
-    draft_pos = {i: p for p, i in enumerate(draft)}
-    available = set(range(1, n + 1))
-    unassigned = set(range(1, n + 1))
+    votes, draft = _npb_draft(orders, priority)
+    taken = [False] * (n + 1)  # players
+    moved = [False] * (n + 1)  # clubs
+    top = 0  # draft[:top] have all moved: a fallback only looks past it
     mapping = [0] * n
     steps = []
     chooser, kind = draft[0], "start"
     for t in range(1, n + 1):
-        if len(unassigned) == 2:
+        moved[chooser] = True
+        if t == n - 1:
             # Endgame: take the other remaining club's player.  Chain
             # structure guarantees it is still on the board.
-            other = (unassigned - {chooser}).pop()
-            assert other in available, "endgame player already taken"
-            w, kind = other, "last-two"
-        elif len(unassigned) == 1:
-            w = next(iter(available))
+            w, kind = moved.index(False, 1), "last-two"
+            assert not taken[w], "endgame player already taken"
+        elif t == n:
+            w = taken.index(False, 1)
             assert w != chooser, "last club left with its own player"
-        elif vote[chooser] in available:
-            w = vote[chooser]
         else:
-            w = _first_available(orders[chooser - 1], available - {chooser})
+            w = votes[chooser - 1]
+            if taken[w]:
+                for w in orders[chooser - 1]:
+                    if w != chooser and not taken[w]:
+                        break
         mapping[chooser - 1] = w
-        available.discard(w)
-        unassigned.discard(chooser)
+        taken[w] = True
         steps.append((t, chooser, w, kind))
-        if not unassigned:
+        if t == n:
             break
-        if w in unassigned:  # club w still to move owns player w
+        if not moved[w]:  # club w still to move owns player w
             chooser, kind = w, "owner-call"
         else:
-            chooser, kind = min(unassigned, key=draft_pos.__getitem__), "fallback"
+            while moved[draft[top]]:
+                top += 1
+            chooser, kind = draft[top], "fallback"
     return tuple(mapping), steps
 
 
@@ -509,7 +507,8 @@ def _bind_sd(mid, n, priority, partition):
 
 
 def _reads_pool(i, order, partition):
-    # every pick is _first_available over a subset of division i's pool
+    # every pick is the first worker of division i's order still in a
+    # subset of its pool
     pool = partition.choice_set(i)
     return tuple(w for w in order if w in pool)
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .model import (
     Assignment,
+    EnumerationBoundExceeded,
     MalformedProblem,
     Problem,
     complete_partial_profile,
@@ -377,6 +378,8 @@ def _npb_ri_profiles(n: int):
 def repro_npb(n: int) -> ReproReport:
     if n < 3:
         raise MalformedProblem("the draft needs at least three clubs")
+    if n > _NPB_MAX_N:  # the scenario builds n-by-n profiles
+        raise EnumerationBoundExceeded(f"the draft scenario is capped at n={_NPB_MAX_N}")
     lines = []
     mover = n - 1
 
@@ -517,6 +520,7 @@ def repro_n3_incompatibility() -> ReproReport:
 # -- registry -----------------------------------------------------------------
 
 _NPB_DEFAULT_SIZES = (3, 4, 5, 6, 12)
+_NPB_MAX_N = 1000
 
 
 # id -> report; only npb takes an argument, the number of clubs

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reassign import cli, verifier
+from reassign import cli, repro, verifier
 from reassign.cli import _dumps, build_parser, main, parse_problem, serialize_problem
 from reassign.mechanisms import MECHANISM_TAGS, MECHANISMS, effective_partition
 from reassign.model import Infeasible, MalformedProblem, problem_from_dict
@@ -444,6 +444,15 @@ def test_verify_oversized_n_is_a_parse_error(capsys):
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_jobs_below_one_is_a_parse_error(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "verify", "--mechanism", "csd", "--property", "sp", "--n", "3", "--jobs", jobs
+    )
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and "--jobs" in err
+
+
 # -- partition -------------------------------------------------------------------------
 
 
@@ -494,6 +503,17 @@ def test_repro_all_flags_only_documented_deviation(capsys):
     failing = [l for l in out.splitlines() if l.strip().startswith("FAIL")]
     assert len(failing) == 2
     assert all("tsd" in l for l in failing)
+
+
+@pytest.mark.parametrize("n", ["1001", "100000"])
+def test_repro_npb_over_bound_exits_four_before_building_a_profile(capsys, monkeypatch, n):
+    def refuse(prefixes, n):
+        raise AssertionError(f"a draft profile of {n} clubs built past the cap")
+
+    monkeypatch.setattr(repro, "_prefix_profile", refuse)
+    code, out, err = run_cli(capsys, "repro", "npb", "--n", n)
+    assert code == 4 and not out
+    assert "capped at n=1000" in err
 
 
 def test_repro_json_format(capsys):

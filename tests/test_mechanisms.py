@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from reassign.mechanisms import (
     MECHANISM_TAGS,
+    _bttc_core,
+    _cettc_core,
     _csd_core,
-    _cycles,
-    _first_available,
     _group_tables,
+    _npb_core,
+    _npb_draft,
     _sd_groups_core,
     _tsd_core,
     _ttc_core,
@@ -476,6 +478,50 @@ def test_property_pools_and_final_orders(prob):
             assert a.worker_of(i) in part.choice_set(i)
 
 
+# -- slow twins: the set-based helpers the cores once shared --------------------------
+
+
+def twin_first_available(order, available):
+    for w in order:
+        if w in available:
+            return w
+    raise AssertionError("empty choice set")
+
+
+def twin_cycles(succ, nodes):
+    """Cycles of a functional graph restricted to ``nodes``, each cycle as a
+    tuple starting at its smallest member, cycles sorted by that member."""
+    nodes = set(nodes)
+    on_cycle = set()
+    seen = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        path = []
+        pos = {}
+        v = start
+        while v not in pos and v not in seen:
+            pos[v] = len(path)
+            path.append(v)
+            v = succ[v]
+        if v in pos:  # fresh cycle closed
+            on_cycle.update(path[pos[v] :])
+        seen.update(path)
+    out = []
+    done = set()
+    for v in sorted(on_cycle):
+        if v in done:
+            continue
+        cyc = [v]
+        w = succ[v]
+        while w != v:
+            cyc.append(w)
+            w = succ[w]
+        done.update(cyc)
+        out.append(tuple(cyc))
+    return out
+
+
 # -- the ttc core against its round-based twin ---------------------------------------
 
 def round_ttc_core(orders):
@@ -485,8 +531,8 @@ def round_ttc_core(orders):
     active = set(range(1, n + 1))
     mapping = [0] * n
     while active:
-        point = {i: _first_available(orders[i - 1], active) for i in active}
-        for cyc in _cycles(point, active):  # worker j's owner is division j
+        point = {i: twin_first_available(orders[i - 1], active) for i in active}
+        for cyc in twin_cycles(point, active):  # worker j's owner is division j
             for i in cyc:
                 mapping[i - 1] = point[i]
             active.difference_update(cyc)
@@ -525,7 +571,7 @@ def twin_sd_groups_core(order, group_of, pools, orders):
     mapping = [0] * n
     for i in order:
         pool = pools[group_of[i]]
-        w = _first_available(orders[i - 1], set(pool) - taken)
+        w = twin_first_available(orders[i - 1], set(pool) - taken)
         mapping[i - 1] = w
         taken.add(w)
     return tuple(mapping), None
@@ -543,7 +589,7 @@ def twin_csd_core(priority, group_of, pools, orders):
     chooser, kind = priority[0], "start"
     for t in range(1, n + 1):
         pool = set(pools[group_of[chooser]]) - taken
-        w = _first_available(orders[chooser - 1], pool)
+        w = twin_first_available(orders[chooser - 1], pool)
         mapping[chooser - 1] = w
         taken.add(w)
         unchosen.discard(chooser)
@@ -563,7 +609,7 @@ def twin_tsd_core(priority, group_of, pools, orders):
     noms = []
     for t, i in enumerate(priority, start=1):
         pool = set(pools[group_of[i]]) & available
-        w = _first_available(orders[i - 1], pool)
+        w = twin_first_available(orders[i - 1], pool)
         available.discard(w)
         noms.append((t, i, w, "nominate"))
     final = tuple(s[2] for s in noms)
@@ -612,3 +658,185 @@ def test_pool_cores_match_twins_sampled(case):
     tables = _group_tables(partition)
     for core, twin in POOL_CORES:
         assert core(priority, *tables, orders) == twin(priority, *tables, orders)
+
+
+# -- the traced trading and draft cores against their set-rebuilding twins ------------
+
+
+def twin_cettc_core(mu0, orders):
+    """Slow twin of the cettc core: each round rebuilds the set of present
+    workers and, per division, that set minus its own worker."""
+    n = len(orders)
+    holder = {mu0[i - 1]: i for i in range(1, n + 1)}  # worker -> temp owner
+    active = set(range(1, n + 1))
+    mapping = [0] * n
+    events = []
+    while active:
+        avail = {mu0[j - 1] for j in active}
+        point = {}
+        for i in active:
+            point[i] = twin_first_available(orders[i - 1], avail - {i})
+        succ = {i: holder[point[i]] for i in active}
+        for cyc in twin_cycles(succ, active):
+            for i in cyc:
+                mapping[i - 1] = point[i]
+                events.append((len(events) + 1, i, point[i], "cycle"))
+            active.difference_update(cyc)
+    return tuple(mapping), events
+
+
+def twin_bttc_core(orders):
+    """Slow twin of the bttc core: rank dicts, and each step a min over the
+    other remaining divisions."""
+    n = len(orders)
+    ranks = tuple({w: r for r, w in enumerate(o)} for o in orders)
+
+    def pref(i, a, b):
+        return ranks[i - 1][a] < ranks[i - 1][b]
+
+    active = set(range(1, n + 1))
+    p = {}
+    stages = []  # list of (step, [cycles...])
+    step = 0
+    while active:
+        step += 1
+        for i in active:
+            others = active - {i}
+            p[i] = min(others, key=ranks[i - 1].__getitem__) if others else i
+        cycs = twin_cycles({i: p[i] for i in active}, active)
+        stages.append((step, cycs))
+        for cyc in cycs:
+            active.difference_update(cyc)
+
+    mapping = [0] * n
+    decided = []
+    labels = {}
+    for step, cycs in reversed(stages):
+        for cyc in cycs:
+            stay = all(pref(i, i, p[i]) for i in cyc)
+            if stay and decided:
+                stay = all(pref(j, mapping[j - 1], x) for j in decided for x in cyc)
+            for i in cyc:
+                mapping[i - 1] = i if stay else p[i]
+        for cyc in cycs:
+            decided.extend(cyc)
+            for i in cyc:
+                labels[i] = "stay" if mapping[i - 1] == i else "trade"
+    events = []
+    for step, cycs in stages:
+        for cyc in cycs:
+            for i in cyc:
+                events.append((len(events) + 1, i, mapping[i - 1], labels[i]))
+    return tuple(mapping), events
+
+
+def twin_npb_draft(orders, priority):
+    """Slow twin of the draft order: sorted by (-votes received, priority
+    position)."""
+    n = len(orders)
+    vote = {}
+    for i in range(1, n + 1):
+        vote[i] = next(w for w in orders[i - 1] if w != i)
+    count = {i: 0 for i in range(1, n + 1)}
+    for w in vote.values():
+        count[w] += 1
+    pr_pos = {i: p for p, i in enumerate(priority)}
+    draft = sorted(range(1, n + 1), key=lambda i: (-count[i], pr_pos[i]))
+    return tuple(draft)
+
+
+def twin_npb_core(priority, orders):
+    """Slow twin of the npb core: sets of available players and unassigned
+    clubs, and the fallback found by min over draft positions."""
+    n = len(orders)
+    if n < 3:
+        raise Infeasible("the draft mechanism needs at least three clubs")
+    vote = {i: next(w for w in orders[i - 1] if w != i) for i in range(1, n + 1)}
+    draft = twin_npb_draft(orders, priority)
+    draft_pos = {i: p for p, i in enumerate(draft)}
+    available = set(range(1, n + 1))
+    unassigned = set(range(1, n + 1))
+    mapping = [0] * n
+    steps = []
+    chooser, kind = draft[0], "start"
+    for t in range(1, n + 1):
+        if len(unassigned) == 2:
+            other = (unassigned - {chooser}).pop()
+            assert other in available, "endgame player already taken"
+            w, kind = other, "last-two"
+        elif len(unassigned) == 1:
+            w = next(iter(available))
+            assert w != chooser, "last club left with its own player"
+        elif vote[chooser] in available:
+            w = vote[chooser]
+        else:
+            w = twin_first_available(orders[chooser - 1], available - {chooser})
+        mapping[chooser - 1] = w
+        available.discard(w)
+        unassigned.discard(chooser)
+        steps.append((t, chooser, w, kind))
+        if not unassigned:
+            break
+        if w in unassigned:
+            chooser, kind = w, "owner-call"
+        else:
+            chooser, kind = min(unassigned, key=draft_pos.__getitem__), "fallback"
+    return tuple(mapping), steps
+
+
+def derangements(n):
+    return [p for p in itertools.permutations(range(1, n + 1)) if all(w != i for i, w in enumerate(p, 1))]
+
+
+def assert_traced_cores_match(orders, mu0s, priorities):
+    assert _bttc_core(orders) == twin_bttc_core(orders), orders
+    for mu0 in mu0s:
+        assert _cettc_core(mu0, orders) == twin_cettc_core(mu0, orders), (mu0, orders)
+    if len(orders) >= 3:  # the draft needs three clubs
+        for priority in priorities:
+            assert _npb_core(priority, orders) == twin_npb_core(priority, orders), (priority, orders)
+
+
+@pytest.mark.parametrize("n, space", [(2, full_profiles), (3, full_profiles), (4, reduced_profiles)])
+def test_traced_cores_match_twins_every_mu0_and_priority(n, space):
+    # every profile of the space under every derangement mu0 (9 at n=4) and
+    # every priority
+    mu0s = derangements(n)
+    priorities = list(itertools.permutations(range(1, n + 1)))
+    for profile in space(n):
+        assert_traced_cores_match(profile.orders, mu0s, priorities)
+
+
+@pytest.mark.parametrize("share", range(7))
+def test_bttc_core_matches_twin_full_n4_share(share):
+    # a seventh of every 31st full n=4 profile per case, rotating with the
+    # case, so the seven cases cover every 31st profile (31 is prime to 24)
+    perms = list(itertools.permutations(range(1, 5)))
+    stride = itertools.islice(itertools.product(perms, repeat=4), 0, None, 31)
+    for orders in itertools.islice(stride, share, None, 7):
+        assert _bttc_core(orders) == twin_bttc_core(orders), orders
+
+
+@st.composite
+def traced_core_case(draw):
+    n = draw(st.integers(5, 9))
+    orders = tuple(tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(n))
+    mu0 = tuple(draw(st.permutations(range(1, n + 1)).filter(
+        lambda p: all(w != i for i, w in enumerate(p, 1)))))
+    priority = tuple(draw(st.permutations(range(1, n + 1))))
+    return orders, mu0, priority
+
+
+@settings(max_examples=300, deadline=None)
+@given(traced_core_case())
+def test_traced_cores_match_twins_sampled(case):
+    orders, mu0, priority = case
+    assert_traced_cores_match(orders, [mu0], [priority])
+    assert _npb_draft(orders, priority)[1] == twin_npb_draft(orders, priority)
+
+
+def test_npb_draft_priority_matches_twin():
+    for profile in reduced_profiles(4):
+        for priority in itertools.permutations(range(1, 5)):
+            prob = Problem(profile=profile, priority=priority)
+            assert npb_draft_priority(prob) == twin_npb_draft(profile.orders, priority)
