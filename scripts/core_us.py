@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Microseconds per mechanism core call, with no tracer and no sweep.
 
-    PYTHONPATH=src python3 scripts/core_us.py [--sizes 4,8] [--count 2000] [--repeat 9] [--seed 1]
+    PYTHONPATH=src python3 scripts/core_us.py [--seed 1]
 
-For each of the seven tags and each size n, binds the core once, as a sweep
+For each of the seven tags at n=4 and n=8, binds the core once, as a sweep
 does (default options, identity priority, canonical partition), then times
-it over ``count`` seeded random profiles of each space: "reduced" rows rank
-the own worker last, "full" rows are uniform permutations.  Each cell is the
-best of ``repeat`` timed passes over the same profiles, divided by ``count``;
-the passes go round every cell in turn, so a slow spell of the machine
-spreads over all cells instead of landing on one.  Standard library only.
+it over 2,000 seeded random profiles of each space: "reduced" rows rank the
+own worker last, "full" rows are uniform permutations.  Each cell is the
+best of 9 timed passes over the same profiles, divided by their count; the
+passes go round every cell in turn, so a slow spell of the machine spreads
+over all cells instead of landing on one.  Standard library only.
 """
 
 import argparse
@@ -21,7 +21,10 @@ from reassign.mechanisms import MECHANISMS
 from reassign.model import MechanismId
 from reassign.partition import canonical_partition
 
+SIZES = (4, 8)
 SPACES = ("reduced", "full")
+COUNT = 2000
+REPEAT = 9
 
 
 def profiles(rng, n, count, space):
@@ -49,29 +52,23 @@ def seconds(core, batch):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="4,8", help="comma-separated n values")
-    parser.add_argument("--count", type=int, default=2000, help="profiles per space")
-    parser.add_argument("--repeat", type=int, default=9, help="timed passes, best kept")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1, help="profile seed")
     args = parser.parse_args()
-    sizes = [int(part) for part in args.sizes.split(",")]
-    if args.count < 1 or args.repeat < 1 or min(sizes) < 3:
-        parser.error("need --count >= 1, --repeat >= 1 and every size >= 3")
 
-    columns = [(n, s) for n in sizes for s in SPACES]
-    batches = {(n, s): profiles(random.Random(f"{args.seed}-{n}-{s}"), n, args.count, s)
+    columns = [(n, s) for n in SIZES for s in SPACES]
+    batches = {(n, s): profiles(random.Random(f"{args.seed}-{n}-{s}"), n, COUNT, s)
                for n, s in columns}
     cores = {(tag, n): entry.bind(MechanismId(tag), n, tuple(range(1, n + 1)), canonical_partition(n))
-             for tag, entry in MECHANISMS.items() for n in sizes}
+             for tag, entry in MECHANISMS.items() for n in SIZES}
     best = {}
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         for (tag, n), core in cores.items():
             for s in SPACES:
                 t = seconds(core, batches[n, s])
                 best[tag, n, s] = min(best.get((tag, n, s), t), t)
     print(f"{'tag':>6}" + "".join(f"{f'n={n} {s}':>14}" for n, s in columns))
     for tag in MECHANISMS:
-        print(f"{tag:>6}" + "".join(f"{best[tag, n, s] / args.count * 1e6:14.2f}" for n, s in columns))
+        print(f"{tag:>6}" + "".join(f"{best[tag, n, s] / COUNT * 1e6:14.2f}" for n, s in columns))
     return 0
 
 
