@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Microseconds per mechanism core call, with no tracer and no sweep.
 
-    PYTHONPATH=src python3 scripts/core_us.py [--seed 1]
+    PYTHONPATH=src python3 scripts/core_us.py
 
 For each of the seven tags at n=4 and n=8, binds the core once, as a sweep
 does (default options, identity priority, canonical partition), then times
-it over 2,000 seeded random profiles of each space: "reduced" rows rank the
-own worker last, "full" rows are uniform permutations.  Each cell is the
-best of 9 timed passes over the same profiles, divided by their count; the
-passes go round every cell in turn, so a slow spell of the machine spreads
-over all cells instead of landing on one.  Standard library only.
+it over 2,000 random profiles of each space, drawn from seed 1 as the
+verifier's sampled checks draw theirs: "reduced" rows rank the own worker
+last, "full" rows are uniform permutations.  Each cell is the best of 9
+timed passes over the same profiles, divided by their count; the passes go
+round every cell in turn, so a slow spell of the machine spreads over all
+cells instead of landing on one.  Standard library only.
 """
 
-import argparse
 import random
 import sys
 from time import perf_counter
@@ -20,27 +20,13 @@ from time import perf_counter
 from reassign.mechanisms import MECHANISMS
 from reassign.model import MechanismId
 from reassign.partition import canonical_partition
+from reassign.verifier import _sample_orders
 
+SEED = 1
 SIZES = (4, 8)
 SPACES = ("reduced", "full")
 COUNT = 2000
 REPEAT = 9
-
-
-def profiles(rng, n, count, space):
-    out = []
-    for _ in range(count):
-        rows = []
-        for i in range(1, n + 1):
-            row = [w for w in range(1, n + 1) if w != i]
-            rng.shuffle(row)
-            if space == "reduced":
-                row.append(i)
-            else:
-                row.insert(rng.randrange(n), i)
-            rows.append(tuple(row))
-        out.append(tuple(rows))
-    return out
 
 
 def seconds(core, batch):
@@ -51,13 +37,11 @@ def seconds(core, batch):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="profile seed")
-    args = parser.parse_args()
-
     columns = [(n, s) for n in SIZES for s in SPACES]
-    batches = {(n, s): profiles(random.Random(f"{args.seed}-{n}-{s}"), n, COUNT, s)
-               for n, s in columns}
+    batches = {}
+    for n, s in columns:
+        rng = random.Random(f"{SEED}-{n}-{s}")
+        batches[n, s] = [_sample_orders(rng, n, s == "reduced") for _ in range(COUNT)]
     cores = {(tag, n): entry.bind(MechanismId(tag), n, tuple(range(1, n + 1)), canonical_partition(n))
              for tag, entry in MECHANISMS.items() for n in SIZES}
     best = {}

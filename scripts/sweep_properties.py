@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 
+from reassign.model import MalformedProblem
 from reassign.verifier import CHECKS, Scope
 
 DEFAULT_PLAN = (
@@ -59,10 +60,12 @@ def main() -> int:
 
     results = []
     for tag, prop, n in plan:
-        scope = None
-        if args.scope == "sampled":
-            scope = Scope("sampled", n, count=args.count, seed=args.seed)
-        report = CHECKS[prop](tag, n, scope, jobs=args.jobs)
+        try:
+            scope = Scope("sampled", n, count=args.count, seed=args.seed) if args.scope == "sampled" else None
+            report = CHECKS[prop](tag, n, scope, jobs=args.jobs)
+        except MalformedProblem as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         results.append(report)
         if args.format == "text":
             print(

@@ -211,8 +211,6 @@ def cmd_verify(args) -> int:
         raise MalformedProblem(
             f"unknown property {args.property!r}; pick from {', '.join(sorted(CHECKS))}"
         )
-    if args.jobs < 1:
-        raise MalformedProblem(f"--jobs must be >= 1, got {args.jobs}")
     mid = _mechanism_id(args)
     scope = None
     if args.scope == "sampled":

@@ -22,7 +22,8 @@ is the profiles that share their first two orders, and a kernel chosen per
 check reads each block's outcome codes.  ``jobs`` splits the blocks over
 forked workers after the parent has scanned the first; a worker that finds
 a violation notes it in shared memory, and the others stop before a block
-past it.  sp and ri run in one process for any ``jobs``.
+past it.  sp and ri run in one process for any ``jobs``; every check
+refuses ``jobs`` below 1.
 
 The class table runs the mechanism once per box of profiles that must share
 an outcome, not once per profile.  First, a registry entry's ``reads`` field
@@ -1072,12 +1073,14 @@ def _ri_draw(rng, orders, i, reduced):
     return tuple(out)
 
 
-def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
-    """The path every check runs through: resolve the scope, test the size
-    cap, bind the runner, run ``sampled(runner, scope)`` or
+def _check(prop, mechanism, n, scope, partition, priority, jobs, sampled, sweep):
+    """The path every check runs through: test ``jobs``, resolve the scope,
+    test the size cap, bind the runner, run ``sampled(runner, scope)`` or
     ``sweep(runner)``, and report.  Both return (holds, checked,
     comparisons, witness)."""
     t0 = time.perf_counter()
+    if jobs < 1:
+        raise MalformedProblem(f"jobs must be >= 1, got {jobs}")
     if n < 1:
         raise MalformedProblem(f"checks need n >= 1 divisions, got {n}")
     if n > sys.maxsize:
@@ -1094,7 +1097,7 @@ def _check(prop, mechanism, n, scope, partition, priority, sampled, sweep):
     return PropertyReport(prop, runner.label(), scope, *result, time.perf_counter() - t0)
 
 
-def _deviation_check(prop, mechanism, n, scope, partition, priority, *,
+def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
                      draw, beats, word, show, scan, fast, exact, holding):
     """A check that division i ends up no worse off (by its own rank order)
     when the profile deviates for it.
@@ -1159,16 +1162,16 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, *,
             runner, orders, deviant, i, runner(orders), runner(deviant)
         )
 
-    return _check(prop, mechanism, n, scope, partition, priority, sampled, sweep)
+    return _check(prop, mechanism, n, scope, partition, priority, jobs, sampled, sweep)
 
 
 def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """No division can gain by misreporting its order, all else fixed.
 
-    ``jobs`` is accepted as every check accepts it; the sweep runs in one
-    process for any value."""
+    ``jobs`` must be at least 1, as in every check; the sweep runs in one
+    process for any such value."""
     return _deviation_check(
-        "sp", mechanism, n, scope, partition, priority,
+        "sp", mechanism, n, scope, partition, priority, jobs,
         draw=_sp_draw,
         beats=operator.lt,
         word="misreport",
@@ -1183,10 +1186,10 @@ def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
 def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """A division never loses when other divisions rank its worker higher.
 
-    ``jobs`` is accepted as every check accepts it; the sweep runs in one
-    process for any value."""
+    ``jobs`` must be at least 1, as in every check; the sweep runs in one
+    process for any such value."""
     return _deviation_check(
-        "ri", mechanism, n, scope, partition, priority,
+        "ri", mechanism, n, scope, partition, priority, jobs,
         draw=_ri_draw,
         beats=operator.gt,
         word="improved",
@@ -1265,7 +1268,7 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
             return True, space.size, None, None
         return False, vio[0] + 1, None, vio[1]
 
-    return _check(prop, mechanism, n, scope, partition, priority, sampled, sweep)
+    return _check(prop, mechanism, n, scope, partition, priority, jobs, sampled, sweep)
 
 
 def _outcome_witness(prop, runner, orders, out, **extra):

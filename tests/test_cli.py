@@ -450,7 +450,7 @@ def test_verify_jobs_below_one_is_a_parse_error(capsys, jobs):
         capsys, "verify", "--mechanism", "csd", "--property", "sp", "--n", "3", "--jobs", jobs
     )
     assert code == 2 and not out
-    assert err.startswith("parse error:") and "--jobs" in err
+    assert err.startswith("parse error:") and "jobs must be >= 1" in err
 
 
 # -- partition -------------------------------------------------------------------------

@@ -795,6 +795,7 @@ def assert_traced_cores_match(orders, mu0s, priorities):
     if len(orders) >= 3:  # the draft needs three clubs
         for priority in priorities:
             assert _npb_core(priority, orders) == twin_npb_core(priority, orders), (priority, orders)
+            assert _npb_draft(orders, priority)[1] == twin_npb_draft(orders, priority), (priority, orders)
 
 
 @pytest.mark.parametrize("n, space", [(2, full_profiles), (3, full_profiles), (4, reduced_profiles)])
@@ -832,11 +833,3 @@ def traced_core_case(draw):
 def test_traced_cores_match_twins_sampled(case):
     orders, mu0, priority = case
     assert_traced_cores_match(orders, [mu0], [priority])
-    assert _npb_draft(orders, priority)[1] == twin_npb_draft(orders, priority)
-
-
-def test_npb_draft_priority_matches_twin():
-    for profile in reduced_profiles(4):
-        for priority in itertools.permutations(range(1, 5)):
-            prob = Problem(profile=profile, priority=priority)
-            assert npb_draft_priority(prob) == twin_npb_draft(profile.orders, priority)

@@ -554,6 +554,14 @@ def test_sampled_scope_rejects_a_negative_count():
         Scope("sampled", 5, count=0, seed=0)
 
 
+@pytest.mark.parametrize("prop", sorted(CHECKS))
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_every_check_rejects_jobs_below_one(prop, jobs):
+    # before any run, so even a sweep past the exhaustive cap is refused for jobs
+    with pytest.raises(MalformedProblem, match="jobs must be >= 1"):
+        CHECKS[prop]("csd", 9, jobs=jobs)
+
+
 def test_check_rejects_unknown_mechanism():
     with pytest.raises(MalformedProblem):
         check_sp("nope", 3)
