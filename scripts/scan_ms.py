@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Milliseconds per sp and ri fast-scan call, with no tracer and no sweep.
+
+    PYTHONPATH=src python3 scripts/scan_ms.py
+
+Builds two outcome tables as an exhaustive sweep does (default options,
+identity priority, canonical partition): ``ttc`` over the full n=4 space
+(331,776 profiles) and ``csd`` over the reduced n=5 space (7,962,624
+profiles).  The n=5 table comes straight from ``_ClassTable`` and
+``_outcome_table``, which have no cap; the checks themselves still refuse
+exhaustive sweeps above n=4.  Each cell then times one call of
+``_sp_menu_scan`` or ``_ri_step_scan`` on its table; it prints the best of 5
+timed passes, and the passes go round every cell in turn, so a slow spell of
+the machine spreads over all cells instead of landing on one.  Standard
+library only.
+"""
+
+import sys
+from time import perf_counter
+
+from reassign.verifier import (
+    _ClassTable,
+    _outcome_table,
+    _ri_step_scan,
+    _Runner,
+    _space,
+    _sp_menu_scan,
+    as_mechanism_id,
+)
+
+TABLES = (("ttc", 4), ("csd", 5))
+SCANS = (("sp", _sp_menu_scan), ("ri", _ri_step_scan))
+REPEAT = 5
+
+
+def table_of(tag, n):
+    runner = _Runner(as_mechanism_id(tag), n)
+    space = _space(n, runner.reduced)
+    return space, _outcome_table(_ClassTable(runner, space))
+
+
+def main() -> int:
+    tables = {(tag, n): table_of(tag, n) for tag, n in TABLES}
+    best = {}
+    for _ in range(REPEAT):
+        for key, (space, codes) in tables.items():
+            for name, scan in SCANS:
+                start = perf_counter()
+                scan(space, codes)
+                t = perf_counter() - start
+                best[key, name] = min(best.get((key, name), t), t)
+    print(f"{'table':>18}" + "".join(f"{f'{name} ms':>10}" for name, _ in SCANS))
+    for (tag, n), (space, _) in tables.items():
+        label = f"{tag} {'reduced' if space.reduced else 'full'} n={n}"
+        print(f"{label:>18}" + "".join(f"{best[(tag, n), name] * 1e3:10.2f}" for name, _ in SCANS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,7 +41,13 @@ EXIT_BOUND = 4
 
 def parse_problem(text: str) -> Problem:
     """Parse a problem JSON document."""
-    return problem_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or too long an integer
+        raise MalformedProblem(f"unreadable JSON: {exc}") from None
+    return problem_from_dict(data)
 
 
 def serialize_problem(problem: Problem) -> str:
@@ -346,10 +352,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MalformedProblem as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, MalformedProblem) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Infeasible as exc:

@@ -58,7 +58,11 @@ check does only the work its verdict reads:
   of that division's menu, the workers its reports can reach.  ri tries
   single adjacent raises only: every improvement is a chain of them that
   leaves the subject's own order alone, so the subject loses by some
-  improvement iff it loses by one step;
+  improvement iff it loses by one step.  Both scans test all profiles of
+  a digit, one byte lane each, per bytes or int operation: sp's menu masks
+  fit a byte for n <= 8, ri's lanes (base rank with bit 0x80 set, minus
+  raised rank) borrow across no lane while ranks stay below 128, and the
+  table's permutation codes fit a byte only for n <= 5;
 * ce, cee, eap, pareto and own-position fill no whole table and stop at
   their first faulting block.  The kernel of ce, cee, eap and pareto
   translates a block's codes to envy masks and peels all its envy graphs at
@@ -545,6 +549,35 @@ def _digit_runs(space: _ProfileSpace, j: int, d: int, size=None):
     return [(d * p + lo, block, blocks) for lo in range(p)]
 
 
+def _gather(data, runs, shift=0):
+    """The bytes of ``data`` at the profiles of ``runs``, each moved by
+    ``shift``, joined in run order: one lane per profile."""
+    return b"".join(data[s + shift : s + shift + step * count : step] for s, step, count in runs)
+
+
+def _first_lane(flags, runs, best):
+    """Smallest profile below ``best`` whose lane of ``flags``, laid out as
+    ``_gather`` lays out ``runs``, is not zero; else ``best``."""
+    off = 0
+    for start, step, count in runs:
+        k = count - len(flags[off : off + count].lstrip(b"\0"))
+        best = min(best, start + k * step) if k < count else best
+        off += count
+    return best
+
+
+@lru_cache(maxsize=None)
+def _menu_tops(space: _ProfileSpace):
+    """tops[j][a]: byte table from a menu mask (bit w-1 for worker w) to the
+    bit of its top worker under division j+1's order number a."""
+
+    def top(order):
+        bits = [1 << (w - 1) for w in order]
+        return bytes(next((b for b in bits if b & m), 0) for m in range(1 << space.n)).ljust(256, b"\0")
+
+    return tuple(tuple(map(top, orders)) for orders in space.orders)
+
+
 def _sp_menu_scan(space: _ProfileSpace, table) -> int | None:
     """Smallest base profile at which a division could gain by misreporting,
     or None.
@@ -552,29 +585,27 @@ def _sp_menu_scan(space: _ProfileSpace, table) -> int | None:
     With the other divisions' digits fixed (a stem), a division's menu is the
     set of workers it receives over all its reports.  It cannot gain by a
     misreport iff each report receives the top of the menu under that report
-    (the taxation principle), so one bytes comparison per stem settles every
-    misreport of that division.
+    (the taxation principle).  Report a's column, gathered over a's digit
+    runs, has one lane per stem of one-hot received workers: OR-ed as ints
+    the columns give every stem's menu mask (a byte for n <= 8), and one
+    bytes comparison per report, of its column with the masks translated
+    to their tops, settles every stem of the division.
     """
     perms, _ = _perm_codes(space.n)
-    radix, size = space.radix, space.size
+    size, lanes = space.size, space.size // space.radix
     best = size
-    for j in range(space.n):
-        p = space.pows[j]
-        block = p * radix
-        received = table.translate(_code_map(perms, operator.itemgetter(j)))
-        ranks = space.rank_maps[j]
-        tops = {}  # menu -> top worker under each report, as bytes
-        for stem in (b + lo for b in range(0, size, block) for lo in range(p)):
-            if stem >= best:
-                break
-            col = received[stem : stem + block : p]
-            menu = frozenset(col)
-            top = tops.get(menu)
-            if top is None:
-                top = tops[menu] = bytes(min(menu, key=rk.__getitem__) for rk in ranks)
+    for j, tops in enumerate(_menu_tops(space)):
+        received = table.translate(_code_map(perms, lambda m: 1 << (m[j] - 1)))
+        runs = [_digit_runs(space, j, a) for a in range(space.radix)]
+        menus = 0
+        for r in runs:
+            menus |= int.from_bytes(_gather(received, r), "big")
+        menus = menus.to_bytes(lanes, "big")
+        for r, top in zip(runs, tops):
+            col, top = _gather(received, r), menus.translate(top)
             if col != top:
-                digit = next(a for a in range(radix) if col[a] != top[a])
-                best = min(best, stem + digit * p)
+                miss = int.from_bytes(col, "big") ^ int.from_bytes(top, "big")
+                best = _first_lane(miss.to_bytes(lanes, "big"), r, best)
     return best if best < size else None
 
 
@@ -585,10 +616,16 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
     Every improvement for i is a chain of adjacent raises that never touches
     i's own order, so along the chain i's rank telescopes: i loses by some
     improvement iff it loses by a single step.  The smallest step base can
-    come after the smallest pairwise base; callers rescan up to it.
+    come after the smallest pairwise base; callers rescan up to it.  i's
+    ranks at a digit's bases and at their raised profiles are gathered into
+    one lane each; with bit 0x80 set in every base lane, one int subtraction
+    borrows across no lane (ranks are below 128) and clears a lane's high
+    bit exactly where the raise left i worse off.
     """
     perms, _ = _perm_codes(space.n)
     n, size = space.n, space.size
+    lanes = size // space.radix
+    high = int.from_bytes(b"\x80" * lanes, "big")
     best = size
     for i in range(n):
         # rank, in division i+1's own order, of the worker it receives
@@ -600,18 +637,12 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
                 rank[sl] = table[sl].translate(trans)
         for j, col in enumerate(_pairwise_raises(space)[i]):
             for d, deltas in enumerate(col):
-                if not deltas:  # worker i+1 is first already, or j is i itself
-                    continue
-                delta = deltas[-1]  # the adjacent raise
-                for start, step, count in _digit_runs(space, j, d):
-                    if start >= best:
-                        break
-                    stop = start + step * count
-                    here = rank[start:stop:step]
-                    there = rank[start + delta : stop + delta : step]
-                    if any(map(operator.lt, here, there)):
-                        k = next(k for k, (a, b) in enumerate(zip(here, there)) if a < b)
-                        best = min(best, start + k * step)
+                if deltas:  # empty if worker i+1 is first already, or j is i itself
+                    runs = _digit_runs(space, j, d)  # deltas[-1]: the adjacent raise
+                    here = int.from_bytes(_gather(rank, runs), "big") | high
+                    kept = here - int.from_bytes(_gather(rank, runs, deltas[-1]), "big") & high
+                    if kept != high:
+                        best = _first_lane((kept ^ high).to_bytes(lanes, "big"), runs, best)
     return best if best < size else None
 
 

@@ -210,6 +210,24 @@ def test_run_rejects_malformed_problem(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\xfe{", "can't decode byte 0xff"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"n":' * 100_000, "maximum recursion depth exceeded"),
+        (b'{"n": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+    ],
+    ids=["not-utf8", "deep-arrays", "deep-objects", "long-integer"],
+)
+def test_run_unreadable_file_is_a_parse_error(capsys, tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "run", str(bad), "--mechanism", "ttc")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("run", str(PROBLEMS / "intro.json"), "--mechanism", "sd", "--order", "9,9,9"),

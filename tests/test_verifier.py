@@ -1,4 +1,5 @@
 import itertools
+import math
 import mmap
 import multiprocessing
 import operator
@@ -717,6 +718,117 @@ def test_fast_scans_match_pairwise_on_perturbed_tables(tag, n):
         if step is not None:
             assert vio[0] <= step
             assert pairwise_scan("ri", space, bent, step, step + 1)[2] is not None
+
+
+# -- word-parallel sp and ri scans against their per-stem twins ----------------------
+
+
+def twin_sp_menu_scan(space, table):
+    """Slow twin of ``_sp_menu_scan``: a menu frozenset and a top lookup per stem."""
+    perms, _ = verifier._perm_codes(space.n)
+    radix, size = space.radix, space.size
+    best = size
+    for j in range(space.n):
+        p = space.pows[j]
+        block = p * radix
+        received = table.translate(verifier._code_map(perms, operator.itemgetter(j)))
+        ranks = space.rank_maps[j]
+        tops = {}  # menu -> top worker under each report, as bytes
+        for stem in (b + lo for b in range(0, size, block) for lo in range(p)):
+            if stem >= best:
+                break
+            col = received[stem : stem + block : p]
+            menu = frozenset(col)
+            top = tops.get(menu)
+            if top is None:
+                top = tops[menu] = bytes(min(menu, key=rk.__getitem__) for rk in ranks)
+            if col != top:
+                digit = next(a for a in range(radix) if col[a] != top[a])
+                best = min(best, stem + digit * p)
+    return best if best < size else None
+
+
+def twin_ri_step_scan(space, table):
+    """Slow twin of ``_ri_step_scan``: one adjacent raise tested run by run,
+    profile by profile."""
+    perms, _ = verifier._perm_codes(space.n)
+    n, size = space.n, space.size
+    best = size
+    for i in range(n):
+        rank = bytearray(size)
+        for d, rk in enumerate(space.rank_maps[i]):
+            trans = verifier._code_map(perms, lambda m, rk=rk: rk[m[i]])
+            for start, step, count in verifier._digit_runs(space, i, d):
+                sl = slice(start, start + step * count, step)
+                rank[sl] = table[sl].translate(trans)
+        for j, col in enumerate(verifier._pairwise_raises(space)[i]):
+            for d, deltas in enumerate(col):
+                if not deltas:
+                    continue
+                delta = deltas[-1]  # the adjacent raise
+                for start, step, count in verifier._digit_runs(space, j, d):
+                    if start >= best:
+                        break
+                    stop = start + step * count
+                    here = rank[start:stop:step]
+                    there = rank[start + delta : stop + delta : step]
+                    if any(map(operator.lt, here, there)):
+                        k = next(k for k, (a, b) in enumerate(zip(here, there)) if a < b)
+                        best = min(best, start + k * step)
+    return best if best < size else None
+
+
+def scans_and_twins(space, table):
+    """((sp, ri) from the word-parallel scans, (sp, ri) from their twins)."""
+    return (
+        (verifier._sp_menu_scan(space, table), verifier._ri_step_scan(space, table)),
+        (twin_sp_menu_scan(space, table), twin_ri_step_scan(space, table)),
+    )
+
+
+@pytest.mark.parametrize(
+    "tag,n", [(tag, n) for n in (2, 3, 4) for tag in ALL_TAGS if n > 2 or tag != "npb"]
+)
+def test_word_scans_match_twins_on_sweep_tables(tag, n):
+    _, space, table = sweep_of(tag, n)
+    fast, twin = scans_and_twins(space, table)
+    assert fast == twin
+
+
+def test_word_scans_match_twins_on_perturbed_full_table():
+    # ttc holds sp and ri, so each hit comes from the bent entries; at full
+    # n=4 divisions 2 and 3 split a digit into 24 runs, contiguous for
+    # division 2 and strided for division 3, so the lowest hit must be
+    # mapped back through the runs
+    _, space, table = sweep_of("ttc", 4)
+    rng = random.Random(22)
+    hits = 0
+    for _ in range(12):
+        bent = bytearray(table)
+        for _ in range(rng.randrange(1, 5)):
+            bent[rng.randrange(space.size)] = rng.randrange(24)
+        fast, twin = scans_and_twins(space, bent)
+        assert fast == twin
+        hits += sum(x is not None for x in fast)
+    assert hits >= 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_word_scans_match_twins_on_random_tables(data):
+    # a constant table holds both properties; bent entries or, at n <= 3,
+    # a table of random codes put hits anywhere in the space
+    n = data.draw(st.integers(2, 4), label="n")
+    space = verifier._space(n, data.draw(st.booleans(), label="reduced"))
+    codes = st.integers(0, math.factorial(n) - 1)
+    if n <= 3 and data.draw(st.booleans(), label="random"):
+        table = bytes(data.draw(st.lists(codes, min_size=space.size, max_size=space.size)))
+    else:
+        table = bytearray([data.draw(codes, label="base")]) * space.size
+        for idx, code in data.draw(st.lists(st.tuples(st.integers(0, space.size - 1), codes), max_size=6)):
+            table[idx] = code
+    fast, twin = scans_and_twins(space, table)
+    assert fast == twin
 
 
 def streamed_reference(prop, mechanism, n):
