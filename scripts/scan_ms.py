@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Milliseconds per sp and ri fast-scan call, with no tracer and no sweep.
+"""Milliseconds per outcome-table build and per sp and ri fast-scan call,
+with no tracer and no sweep.
 
     PYTHONPATH=src python3 scripts/scan_ms.py
 
@@ -8,11 +9,13 @@ identity priority, canonical partition): ``ttc`` over the full n=4 space
 (331,776 profiles) and ``csd`` over the reduced n=5 space (7,962,624
 profiles).  The n=5 table comes straight from ``_ClassTable`` and
 ``_outcome_table``, which have no cap; the checks themselves still refuse
-exhaustive sweeps above n=4.  Each cell then times one call of
-``_sp_menu_scan`` or ``_ri_step_scan`` on its table; it prints the best of 5
-timed passes, and the passes go round every cell in turn, so a slow spell of
-the machine spreads over all cells instead of landing on one.  Standard
-library only.
+exhaustive sweeps above n=4.  Per table, the ``table`` cell times one
+``_outcome_table`` call on a fresh ``_ClassTable`` (the fill by outcome
+boxes plus the widening to one byte per profile), and the ``sp`` and
+``ri`` cells one call of ``_sp_menu_scan`` or ``_ri_step_scan`` on the
+table.  It prints the best of 5 timed passes, and the passes go round every
+cell in turn, so a slow spell of the machine spreads over all cells instead
+of landing on one.  Standard library only.
 """
 
 import sys
@@ -35,24 +38,30 @@ REPEAT = 5
 
 def table_of(tag, n):
     runner = _Runner(as_mechanism_id(tag), n)
-    space = _space(n, runner.reduced)
-    return space, _outcome_table(_ClassTable(runner, space))
+    return _ClassTable(runner, _space(n, runner.reduced))
+
+
+def timed(fn, *args):
+    start = perf_counter()
+    out = fn(*args)
+    return perf_counter() - start, out
 
 
 def main() -> int:
-    tables = {(tag, n): table_of(tag, n) for tag, n in TABLES}
-    best = {}
+    names = ["table"] + [name for name, _ in SCANS]
+    spaces, best = {}, {}
     for _ in range(REPEAT):
-        for key, (space, codes) in tables.items():
-            for name, scan in SCANS:
-                start = perf_counter()
-                scan(space, codes)
-                t = perf_counter() - start
-                best[key, name] = min(best.get((key, name), t), t)
-    print(f"{'table':>18}" + "".join(f"{f'{name} ms':>10}" for name, _ in SCANS))
-    for (tag, n), (space, _) in tables.items():
+        for tag, n in TABLES:
+            table = table_of(tag, n)
+            spaces[tag, n] = table.space
+            t, codes = timed(_outcome_table, table)
+            times = [t] + [timed(scan, table.space, codes)[0] for _, scan in SCANS]
+            for name, t in zip(names, times):
+                best[tag, n, name] = min(best.get((tag, n, name), t), t)
+    print(f"{'table':>18}" + "".join(f"{f'{name} ms':>10}" for name in names))
+    for (tag, n), space in spaces.items():
         label = f"{tag} {'reduced' if space.reduced else 'full'} n={n}"
-        print(f"{label:>18}" + "".join(f"{best[(tag, n), name] * 1e3:10.2f}" for name, _ in SCANS))
+        print(f"{label:>18}" + "".join(f"{best[tag, n, name] * 1e3:10.2f}" for name in names))
     return 0
 
 

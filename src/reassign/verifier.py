@@ -19,11 +19,12 @@ runner, applies the exhaustive cap and builds the report.  Every exhaustive
 check reads the mechanism's outcomes from one class table (``_ClassTable``)
 and, except sp and ri, through one block scan, ``_outcome_scan``: a block
 is the profiles that share their first two orders, and a kernel chosen per
-check reads each block's outcome codes.  ``jobs`` splits the blocks over
-forked workers after the parent has scanned the first; a worker that finds
-a violation notes it in shared memory, and the others stop before a block
-past it.  sp and ri run in one process for any ``jobs``; every check
-refuses ``jobs`` below 1.
+check reads the outcome codes of a run of blocks at a time, runs of 1, 1,
+2, 4, ... blocks within one order of division 1.  ``jobs`` splits the
+blocks over forked workers after the parent has scanned the first; a
+worker that finds a violation notes it in shared memory, and the others
+stop before a block past it.  sp and ri run in one process for any
+``jobs``; every check refuses ``jobs`` below 1.
 
 The class table runs the mechanism once per box of profiles that must share
 an outcome, not once per profile.  First, a registry entry's ``reads`` field
@@ -33,10 +34,12 @@ stays present until the division trades (Shapley and Scarf 1974), and the
 order restricted to the division's group pool for csd, tsd and sd, whose
 every pick is the first available worker of a subset of that pool.  Orders
 with equal parts form a class, and the table holds one byte per profile of
-class representatives.  Second, the table is filled by outcome boxes: every
-profile that agrees with a run profile, division by division, down to the
-worker its outcome gives that division gets the same outcome, so one core
-run fills a whole box of class profiles.  Neither fold is assumed: the test
+class representatives, widened to one byte per profile by one slice copy
+per order and run of the digits beside it (``_widen``).  Second, the table
+is filled by outcome boxes: every profile that agrees with a run profile,
+division by division, down to the worker its outcome gives that division
+gets the same outcome, so one core run fills a whole box of class
+profiles.  Neither fold is assumed: the test
 suite compares the filled table with one core run per profile on every
 space a sweep uses, the own-position check's full-space table among them,
 and checks both folds on samples above.
@@ -52,7 +55,7 @@ check does only the work its verdict reads:
   first runs the property's pairwise scan over the first ``radix`` base
   profiles, reading the class table entry by entry, so a violation near
   the start of the space is found without filling the whole table;
-* otherwise the rest of the table is filled and gathered into one byte per
+* otherwise the rest of the table is filled and widened into one byte per
   profile.  sp then applies the taxation principle: with the other
   divisions' reports fixed, every report of a division must receive the top
   of that division's menu, the workers its reports can reach.  ri tries
@@ -64,12 +67,13 @@ check does only the work its verdict reads:
   raised rank) borrow across no lane while ranks stay below 128, and the
   table's permutation codes fit a byte only for n <= 5;
 * ce, cee, eap, pareto and own-position fill no whole table and stop at
-  their first faulting block.  The kernel of ce, cee, eap and pareto
-  translates a block's codes to envy masks and peels all its envy graphs at
-  once with int operations.  own-position sweeps own-last bases, whose
-  moved profiles lie in the full space: its kernel reads their outcomes
-  from a second class table over the full space, filled by outcome boxes
-  as the moves reach it.  Its classes and boxes keep every division's own
+  their first faulting run of blocks, whose blocks' head entries only are
+  filled and widened.  The kernel of ce, cee, eap and pareto translates a
+  run's codes to envy masks and peels all its envy graphs at once with int
+  operations.  own-position sweeps own-last bases, whose moved profiles lie
+  in the full space: its kernel reads their outcomes from a second class
+  table over the full space, filled by outcome boxes as the moves reach
+  it.  Its classes and boxes keep every division's own
   worker where it is, so no entry a moved profile reads comes from a run
   of a profile with that own worker elsewhere, its base among them: the
   check tests the invariance the folds would otherwise assume.  The
@@ -108,6 +112,7 @@ import itertools
 import math
 import multiprocessing as mp
 import operator
+import os
 import random
 import sys
 import time
@@ -721,15 +726,13 @@ def _ri_scan(lo, hi):
 def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
     """The classes of each division's orders that the mechanism cannot tell
     apart: orders whose registry ``reads`` keys are equal, or one class per
-    order for a mechanism without that field.  Returns (cls, reps, index,
-    boxes).  cls[j][d] is the class of division j+1's order number d and
-    reps[j][c] the first order of class c, so each reps[j] is sorted.
+    order for a mechanism without that field.  Returns (cls, reps, boxes).
+    cls[j][d] is the class of division j+1's order number d and reps[j][c]
+    the first order of class c, so each reps[j] is sorted.
 
     The class table numbers class profiles as the space numbers profiles, by
-    their class digits.  A block's outcomes are gathered from the entries of
-    its two head classes: index[k] is the entry, counted from the first of
-    them, of the block's k-th profile, or index is None when those entries
-    are the block itself.  boxes[j][c][w] is the range of table offsets of
+    their class digits, and ``_widen`` turns its entries into one byte per
+    profile through cls.  boxes[j][c][w] is the range of table offsets of
     division j+1's digit over the classes whose representative agrees with
     reps[j][c] down to worker w: sorted representatives that share a prefix
     are consecutive.
@@ -755,9 +758,6 @@ def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
         cls.append(tuple(map(number.__getitem__, keys)))
         reps.append(tuple(first.values()))
     weights = [math.prod(map(len, reps[j + 1 :])) for j in range(space.n)]
-    index = None
-    if any(c != tuple(range(space.radix)) for c in cls[2:]):
-        index = tuple(sum(map(operator.mul, c, weights[2:])) for c in itertools.product(*cls[2:]))
     boxes = []
     for i, (rs, wt) in enumerate(zip(reps, weights), start=1):
         heads = [(r.index(i) if own_apart else None, r) for r in rs]
@@ -769,7 +769,7 @@ def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
             {w: range(*(x * wt for x in span[g, r[: k + 1]]), wt) for k, w in enumerate(r)}
             for g, r in heads
         ))
-    return tuple(cls), tuple(reps), index, tuple(boxes)
+    return tuple(cls), tuple(reps), tuple(boxes)
 
 
 class _ClassTable:
@@ -782,11 +782,10 @@ class _ClassTable:
     def __init__(self, runner: _Runner, space: _ProfileSpace, own_apart=False):
         self.runner, self.space = runner, space
         classes = _order_classes(space, runner.mid.tag, runner.partition, own_apart)
-        self.cls, self.reps, self.index, self.boxes = classes
+        self.cls, self.reps, self.boxes = classes
         self.weights = [math.prod(map(len, self.reps[j + 1 :])) for j in range(space.n)]
         self.offsets = [[c * wt for c in cs] for cs, wt in zip(self.cls, self.weights)]
         self.codes = bytearray(b"\xff") * (self.weights[0] * len(self.reps[0]))
-        self.gather = None if self.index is None else operator.itemgetter(*self.index)
 
     def __getitem__(self, idx):
         e = sum(map(list.__getitem__, self.offsets, self.space.digits_of(idx)))
@@ -794,15 +793,20 @@ class _ClassTable:
             self.fill(e, e + 1)
         return self.codes[e]
 
-    def block(self, b):
-        """The codes of block b, the profiles that share their first two orders:
-        the entries of its two head classes, filled, gathered through index."""
-        head = self.space.digits_of(b * self.space.block)[:2]  # one digit at n=1
-        start = sum(map(list.__getitem__, self.offsets, head))
-        end = start + self.weights[len(head) - 1]
-        self.fill(start, end)
-        sub = self.codes[start:end]
-        return sub if self.gather is None else bytes(self.gather(sub))
+    def blocks(self, lo, hi):
+        """The codes of blocks [lo, hi), blocks being the profiles that share
+        their first two orders, all of one order of division 1: each block's
+        head entries filled, each distinct pair of head classes widened once."""
+        space, wide, starts = self.space, {}, []
+        for b in range(lo, hi):
+            head = space.digits_of(b * space.block)[:2]  # one digit at n=1
+            start = sum(map(list.__getitem__, self.offsets, head))
+            if start not in wide:
+                end = start + self.weights[len(head) - 1]
+                self.fill(start, end)
+                wide[start] = _widen(self.codes[start:end], self.cls[2:])
+            starts.append(start)
+        return b"".join(map(wide.__getitem__, starts))
 
     def fill(self, pos, end):
         """Fill the unfilled entries in [pos, end).
@@ -846,38 +850,74 @@ class _ClassTable:
                 table[run] = fill
 
 
-def _outcome_table(table: _ClassTable) -> bytes:
-    """Fill a class table and gather it block by block into one byte per
-    profile of its space (there are fewer than 256 codes for n <= 5)."""
-    space = table.space
-    return b"".join(map(table.block, range(space.size // space.block)))
+def _widen(data, classes):
+    """A table over class digits widened to one over order digits.
+
+    ``data`` numbers class profiles by their digits, as a space numbers
+    profiles, with max(classes[j]) + 1 classes along axis j; classes[j][d] is
+    the class of axis j's order number d.  Each axis in turn gets one slice
+    copy per (order, run of the digits on either side of it), the side with
+    fewer runs, and is skipped if its classes are its orders."""
+    for j, cs in enumerate(classes):
+        if cs == tuple(range(len(cs))):
+            continue
+        width, radix = max(cs) + 1, len(cs)
+        after = math.prod(max(c) + 1 for c in classes[j + 1 :])
+        before = len(data) // (width * after)
+        wide = bytearray(before * radix * after)
+        if before <= after:  # contiguous runs of the digits after axis j
+            for a in range(before):
+                src, dst = a * width * after, a * radix * after
+                for d, c in enumerate(cs):
+                    wide[dst + d * after : dst + (d + 1) * after] = data[src + c * after : src + (c + 1) * after]
+        else:  # strided runs of the digits before it, one per digit after it
+            for lo in range(after):
+                for d, c in enumerate(cs):
+                    wide[d * after + lo :: radix * after] = data[c * after + lo :: width * after]
+        data = wide
+    return data
+
+
+def _outcome_table(table: _ClassTable) -> bytearray:
+    """Fill a class table and widen it into one byte per profile of its
+    space (there are fewer than 256 codes for n <= 5)."""
+    table.fill(0, len(table.codes))
+    return _widen(table.codes, table.cls)
 
 
 def _outcome_scan(lo, hi):
     """Run the mechanism on blocks [lo, hi) of profiles, a block being the
     ``space.block`` consecutive profiles that share their first two orders,
-    and hand each block's outcome codes to the sweep's kernel: ``first(codes,
-    b)`` returns the offset of block b's first faulting profile or None.
+    and hand the outcome codes of each run of blocks to the sweep's kernel:
+    ``first(codes, b)`` returns the offset, in the run starting at block b,
+    of its first faulting profile or None.
 
-    The codes come from the sweep's class table (``_ClassTable.block``), so
-    a check that faults early pays for little of the table.  Stops at the
-    first faulting block, or, in a forked sweep, before a block past the
-    lowest faulting block any worker has found; the sweep's fault function
-    gives the witness from a run of the faulting profile itself, and the
-    scan raises if it finds none there.  Returns (profiles_run, None,
-    (index, witness) or None)."""
+    Runs hold 1, 1, 2, 4, ... blocks, each as many as all before it, and
+    end at the end of an order of division 1, so every block of a run
+    shares that order.  The codes come from the sweep's class table
+    (``_ClassTable.blocks``), so a check that faults early pays for little
+    of the table.  Stops at the first faulting run, or, in a forked sweep,
+    before a block past the lowest faulting block any worker has found, a
+    run ending there; the sweep's fault function gives the witness from a
+    run of the faulting profile itself, and the scan raises if it finds none
+    there.  Returns (profiles_run, None, (index, witness) or None)."""
     table, first = _SWEEP["table"], _SWEEP["first"]
     space, runner = table.space, table.runner
     lowest = _SWEEP.get("lowest")
-    for b in range(lo, hi):
-        if lowest is not None and lowest.value < b:
-            return (b - lo) * space.block, None, None
-        k = first(table.block(b), b)
+    per = space.pows[0] // space.block  # blocks per order of division 1
+    b = lo
+    while b < hi:
+        end = min(hi, b + max(1, b - lo), (b // per + 1) * per)
+        if lowest is not None:
+            if lowest.value < b:
+                return (b - lo) * space.block, None, None
+            end = min(end, lowest.value + 1)
+        k = first(table.blocks(b, end), b)
         if k is not None:
+            idx = b * space.block + k
             if lowest is not None:
                 with lowest.get_lock():
-                    lowest.value = min(lowest.value, b)
-            idx = b * space.block + k
+                    lowest.value = min(lowest.value, idx // space.block)
             orders = space.profile_at(idx)
             wit = _SWEEP["fault"](runner, orders, runner(orders))
             if wit is None:
@@ -886,6 +926,7 @@ def _outcome_scan(lo, hi):
                     f"{orders}, which direct runs clear"
                 )
             return idx - lo * space.block + 1, None, (idx, wit)
+        b = end
     return (hi - lo) * space.block, None, None
 
 
@@ -894,22 +935,23 @@ def _block_kernel(space: _ProfileSpace, outside, allowed):
 
     The class is ``outside``, a predicate on outcomes outside it (or None),
     and ``allowed``, the edge filter ``_dominated`` takes (False for no cycle
-    test).  The tables are code maps built once here: whether an outcome
-    lies outside, and per division j and order number d the envy mask of
-    division j+1 (bit k set when it strictly prefers division k+1's worker
-    to its own and may take it).  The returned ``first(codes, b)`` takes
-    block b's outcome codes, translates them to one envy column per
-    division, reads each column as an int, one byte per profile, and peels
-    every profile's envy graph at once as ``_dominated`` peels one.  It
-    returns the offset of the block's first profile that lies outside the
-    class or keeps a cycle, or None.  Codes and masks fit a byte for n <= 5.
+    test).  The code maps are built once here: whether an outcome lies
+    outside, and per division j and order number d the envy mask of division
+    j+1 (bit k set when it strictly prefers division k+1's worker to its own
+    and may take it).  The returned ``first(codes, b)`` takes the outcome
+    codes of a run of blocks from block b on, all of one order of division
+    1, and translates them to one envy column per division: division 1's in
+    one translation, division 2's block by block, and those of divisions 3
+    on along their ``_digit_runs`` over the run.  It reads each column as an
+    int, one byte per profile, and peels every profile's envy graph at once
+    as ``_dominated`` peels one.  It returns the offset of the run's first
+    profile that lies outside the class or keeps a cycle, or None.  Codes
+    and masks fit a byte for n <= 5.  Its int masks and slices are kept for
+    the latest run length only.
     """
-    n = space.n
+    n, block = space.n, space.block
     perms, _ = _perm_codes(n)
     out_map = None if outside is None else _code_map(perms, outside)
-    size = space.block
-    ones = int.from_bytes(b"\1" * size, "little")
-    low, high, everyone = 0x7F * ones, 0x80 * ones, ((1 << n) - 1) * ones
 
     def mask(j, order, m):
         bits = 0
@@ -922,20 +964,32 @@ def _block_kernel(space: _ProfileSpace, outside, allowed):
         [_code_map(perms, lambda m, j=j, o=o: mask(j, o, m)) for o in orders]
         for j, orders in enumerate(space.orders)
     ] if allowed is not False else []
-    # divisions 3.. vary inside a block: their (code map, slice) pairs
-    inner = [
-        [
-            (trans, slice(a, a + step * count, step))
-            for d, trans in enumerate(envy[j])
-            for a, step, count in _digit_runs(space, j, d, size)
+    @lru_cache(maxsize=1)
+    def tables(size):
+        # a run length's masks and the (code map, slice) pairs of divisions 3..
+        ones = int.from_bytes(b"\1" * size, "little")
+        inner = [
+            [
+                (trans, slice(a, a + step * count, step))
+                for d, trans in enumerate(envy[j])
+                for a, step, count in _digit_runs(space, j, d, size)
+            ]
+            for j in range(2, n)
         ]
-        for j in range(2, n)
-    ] if envy else []
+        return 0x7F * ones, 0x80 * ones, ((1 << n) - 1) * ones, inner
 
     def first(codes, b):
         bad = 0 if out_map is None else int.from_bytes(codes.translate(out_map), "little")
         if envy:
-            cols = [codes.translate(envy[j][d]) for j, d in enumerate(space.digits_of(b * size)[:2])]
+            size = len(codes)
+            low, high, everyone, inner = tables(size)
+            head = space.digits_of(b * block)[:2]  # one digit at n=1
+            cols = [codes.translate(envy[0][head[0]])]
+            if n > 1:  # division 2's order number goes up by one a block
+                cols.append(b"".join(
+                    codes[k : k + block].translate(envy[1][head[1] + i])
+                    for i, k in enumerate(range(0, size, block))
+                ))
             for runs in inner:
                 col = bytearray(size)
                 for trans, sl in runs:
@@ -973,8 +1027,9 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
     entries of its moved profiles.  at[j][d] is the full-space table offset
     of division j+1's reduced order number d, and moves[j][d] the
     differences to the offsets of that order with its own worker at each
-    other position.  The returned ``first(codes, b)`` gives the offset of
-    block b's first base with a moved profile of another outcome, or None.
+    other position.  The returned ``first(codes, b)`` takes the codes of a
+    run of blocks from block b on and gives the offset of the run's first
+    base with a moved profile of another outcome, or None.
     """
     n, full = space.n, _space(space.n, False)
     table = _ClassTable(runner, full, own_apart=True)
@@ -989,8 +1044,8 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
     inner = tuple(itertools.product(range(space.radix), repeat=max(0, n - 2)))  # in block order
 
     def first(codes, b):
-        head = space.digits_of(b * space.block)[:2]
-        for k, digits in enumerate(head + t for t in inner):
+        heads = [space.digits_of(x * space.block)[:2] for x in range(b, b + len(codes) // space.block)]
+        for k, digits in enumerate(h + t for h in heads for t in inner):
             base = sum(map(list.__getitem__, at, digits))
             for j, d in enumerate(digits):
                 for e in moves[j][d]:
@@ -1002,6 +1057,13 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
         return None
 
     return first
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_ranged(scan, size, jobs):
@@ -1018,7 +1080,9 @@ def _run_ranged(scan, size, jobs):
     past it, whose results are never read.  The count scanned is meaningful
     only when no violation is found; callers report the witness position
     otherwise.  Where the ``fork`` start method is unavailable the scan runs
-    serially: workers read the sweep state they inherit at fork.
+    serially: workers read the sweep state they inherit at fork.  A fork
+    pool starts all its workers at its first task, so the pool has no more
+    workers than chunks or CPUs this process may run on, whatever ``jobs``.
     """
     if jobs <= 1 or "fork" not in mp.get_all_start_methods():
         return scan(0, size)
@@ -1029,7 +1093,8 @@ def _run_ranged(scan, size, jobs):
         fork = mp.get_context("fork")
         _SWEEP["lowest"] = fork.Value("q", size)
         try:
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=fork) as pool:
+            workers = min(jobs, len(chunks), _usable_cpus())
+            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                 for c, _, vio in pool.map(scan, *zip(*chunks)):
                     checked += c
                     if vio is not None:

@@ -15,9 +15,14 @@ so it gets that representative's outcome and shares its prefixes.  The
 twins compare them on every space a sweep uses at n <= 4, and check the
 fold on sampled boxes above.  A core that reads past its
 received worker fails them.
+
+The filled table is widened to one byte per profile by slice copies; its
+twin is the gather of each block's profiles, one by one, through an index
+of their class entries.
 """
 
 import itertools
+import math
 import operator
 import random
 from collections import defaultdict
@@ -189,6 +194,94 @@ def test_gathered_table_equals_one_run_per_profile(n):
         except Infeasible:  # npb needs three divisions
             continue
         assert filled_table(runner, space) == expected, runner.label()
+
+
+# -- the widened table against the gather it replaced -------------------------------
+
+
+def twin_index(table):
+    """The entry, counted from the first of a block's two head classes, of
+    the block's k-th profile, or None when those entries are the block."""
+    if all(c == tuple(range(table.space.radix)) for c in table.cls[2:]):
+        return None
+    return tuple(sum(map(operator.mul, c, table.weights[2:])) for c in itertools.product(*table.cls[2:]))
+
+
+def twin_outcome_table(table):
+    """Each block's codes in turn: its head entries filled, gathered through
+    the index."""
+    space, index = table.space, twin_index(table)
+    gather = None if index is None else operator.itemgetter(*index)
+    blocks = []
+    for b in range(space.size // space.block):
+        head = space.digits_of(b * space.block)[:2]  # one digit at n=1
+        start = sum(map(list.__getitem__, table.offsets, head))
+        end = start + table.weights[len(head) - 1]
+        table.fill(start, end)
+        sub = table.codes[start:end]
+        blocks.append(bytes(sub) if gather is None else bytes(gather(sub)))
+    return b"".join(blocks)
+
+
+def random_runs(space, rng):
+    """The blocks cut into consecutive runs of random lengths, none of which
+    crosses the end of an order of division 1."""
+    per = space.pows[0] // space.block
+    for start in range(0, space.size // space.block, per):
+        cuts = sorted(rng.sample(range(start + 1, start + per), rng.randint(0, per - 1)))
+        yield from zip([start] + cuts, cuts + [start + per])
+
+
+def assert_widened_as_twin(runner, space, rng):
+    twin = twin_outcome_table(verifier._ClassTable(runner, space))
+    assert filled_table(runner, space) == twin, (runner.label(), space.reduced)
+    table, block = verifier._ClassTable(runner, space), space.block
+    for lo, hi in random_runs(space, rng):
+        assert table.blocks(lo, hi) == twin[lo * block : hi * block], (runner.label(), lo, hi)
+
+
+def twin_runners(n):
+    yield from runners(n)
+    if n == 4:  # the twin needs no run per profile
+        yield verifier._Runner(MechanismId("bttc"), n)
+    yield verifier._Runner(MechanismId("cettc", mu0="random", seed=5), n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_widened_table_and_runs_equal_the_gathered_twin(n):
+    # every tag in both spaces, bttc at full n=4 among them: the whole
+    # table, and runs of blocks read from a fresh table as a sweep reads them
+    rng = random.Random(n)
+    for runner in twin_runners(n):
+        for reduced in (False, True):
+            try:
+                assert_widened_as_twin(runner, verifier._space(n, reduced), rng)
+            except Infeasible:  # npb needs three divisions
+                assert runner.mid.tag == "npb" and n < 3
+
+
+@pytest.mark.parametrize("tag", POOL_TAGS)
+def test_widened_reduced_n5_table_equals_the_gathered_twin(tag):
+    # past the sweeps' cap: 7,962,624 profiles from a table of 16 runs
+    assert_widened_as_twin(verifier._Runner(MechanismId(tag), 5), verifier._space(5, True), random.Random(5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_widen_equals_an_itemgetter_gather(data):
+    # random class maps onto every class, numbered in any order, so orders
+    # of one class need not be adjacent and class numbers need not rise
+    classes = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        radix = data.draw(st.integers(1, 5))
+        width = data.draw(st.integers(1, radix))
+        extra = data.draw(st.lists(st.integers(0, width - 1), min_size=radix - width, max_size=radix - width))
+        classes.append(tuple(data.draw(st.permutations(list(range(width)) + extra))))
+    widths = [max(c) + 1 for c in classes]
+    weights = [math.prod(widths[j + 1 :]) for j in range(len(classes))]
+    src = data.draw(st.binary(min_size=math.prod(widths), max_size=math.prod(widths)))
+    index = [sum(map(operator.mul, c, weights)) for c in itertools.product(*classes)]
+    assert verifier._widen(bytearray(src), tuple(classes)) == bytes(map(src.__getitem__, index))
 
 
 # -- the outcome-box fill against one core run per profile ---------------------------
@@ -364,8 +457,7 @@ WHOLE_ORDER_RUNS = {"bttc": ("sp", 4896), "cettc": ("sp", 273), "npb": ("pareto"
 def test_whole_order_mechanisms_run_once_per_outcome_box(tag, reduced, monkeypatch):
     space = verifier._space(4, reduced)
     table = verifier._ClassTable(verifier._Runner(MechanismId(tag), 4), space)
-    cls, reps, index = table.cls, table.reps, table.index
-    assert cls == (tuple(range(space.radix)),) * 4 and reps == space.orders and index is None
+    assert table.cls == (tuple(range(space.radix)),) * 4 and table.reps == space.orders
     prop, most = WHOLE_ORDER_RUNS[tag]
     runs = counting_runs(monkeypatch)
     report = verifier.CHECKS[prop](tag, 4)

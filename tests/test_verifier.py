@@ -1029,18 +1029,19 @@ def outcome_holds(prop, orders, m, partition):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_block_kernel_finds_the_first_failing_profile(data):
-    # outcomes that hold up to a cut, random codes after it, in one block of
-    # the full n=3 space or the reduced n=4 space
+    # outcomes that hold up to a cut, random codes after it, in a run of
+    # blocks of the full n=3 space or the reduced n=4 space, the run ending
+    # by the end of division 1's order
     n, reduced = data.draw(st.sampled_from([(3, False), (4, True)]))
     prop = data.draw(st.sampled_from(sorted(verifier._CLASSES)))
     sizes = data.draw(st.sampled_from(PARTITION_SIZES[n]))
     partition = largest_first_construct(blocks_from_sizes(sizes))
     space = verifier._space(n, reduced)
     perms = verifier._perm_codes(n)[0]
-    size = space.radix ** (n - 2)
     b = data.draw(st.integers(0, space.radix**2 - 1))
+    size = data.draw(st.integers(1, space.radix - b % space.radix)) * space.block
     cut = data.draw(st.integers(0, size))
-    profiles = [space.profile_at(b * size + k) for k in range(size)]
+    profiles = [space.profile_at(b * space.block + k) for k in range(size)]
     codes = []
     for k, orders in enumerate(profiles):
         good = [c for c, m in enumerate(perms) if outcome_holds(prop, orders, m, partition)]
@@ -1126,24 +1127,70 @@ def test_fanout_stops_at_the_first_violation():
 def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
     # a forked scan whose next block lies past a violation another worker
     # noted runs no further block; blocks up to the violation still run,
-    # each filling its head entries of the class table by outcome boxes
+    # each filling its head entries of the class table by outcome boxes.
+    # Runs of 1, 1, 2, 4 blocks from block 2 would end at blocks 2, 3, 5
+    # (the end of division 1's first order), 9: the violations at 4 and 8
+    # cut a run short, the one at 9 ends one
     runner = verifier._Runner(MechanismId("bttc"), 3)
     space = verifier._space(3, False)
     calls = []
     monkeypatch.setattr(verifier._Runner, "__call__", lambda self, orders: calls.append(orders) or (1, 2, 3))
-    lowest = multiprocessing.get_context().Value("q", 4)
-    table = verifier._ClassTable(runner, space)
-    verifier._SWEEP.clear()
-    verifier._SWEEP.update(table=table, first=lambda codes, b: None, lowest=lowest)
-    try:
-        assert verifier._outcome_scan(5, 9) == (0, None, None)
-        assert calls == []
-        assert verifier._outcome_scan(2, 9) == (3 * space.block, None, None)
-        heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
-        assert 2 in heads and heads <= {2, 3, 4}
-        assert 0xFF not in table.codes[2 * space.block : 5 * space.block]
-    finally:
+    for low, hi in ((4, 9), (8, 36), (9, 36)):
+        calls.clear()
+        lowest = multiprocessing.get_context().Value("q", low)
+        table = verifier._ClassTable(runner, space)
         verifier._SWEEP.clear()
+        verifier._SWEEP.update(table=table, first=lambda codes, b: None, lowest=lowest)
+        try:
+            assert verifier._outcome_scan(low + 1, hi) == (0, None, None)
+            assert calls == []
+            assert verifier._outcome_scan(2, hi) == ((low - 1) * space.block, None, None)
+            heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
+            assert 2 in heads and heads <= set(range(2, low + 1))
+            assert 0xFF not in table.codes[2 * space.block : (low + 1) * space.block]
+        finally:
+            verifier._SWEEP.clear()
+
+
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records the workers asked
+    for and maps in the calling process."""
+
+    workers = []
+
+    def __init__(self, max_workers, mp_context):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+@pytest.mark.parametrize("cpus", (None, 10**6))
+def test_fanout_pool_has_no_more_workers_than_chunks_or_cpus(cpus, monkeypatch):
+    # a fork pool starts all its workers at its first task, so a million
+    # jobs must ask for no more workers than the 35 chunks of the blocks
+    # past the first at full n=3, nor than this process's CPUs
+    solo = check_pareto("ttc", 3).to_dict()
+    if cpus is not None:
+        monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(SerialPool, "workers", [])
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    many = check_pareto("ttc", 3, jobs=10**6).to_dict()
+    assert SerialPool.workers == [min(35, verifier._usable_cpus())]
+    assert multiprocessing.active_children() == []
+    solo.pop("elapsed_s")
+    many.pop("elapsed_s")
+    assert many == solo
 
 
 @pytest.mark.parametrize("check", (check_sp, check_ri))
