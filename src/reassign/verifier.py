@@ -39,7 +39,10 @@ per order and run of the digits beside it (``_widen``).  Second, the table
 is filled by outcome boxes: every profile that agrees with a run profile,
 division by division, down to the worker its outcome gives that division
 gets the same outcome, so one core run fills a whole box of class
-profiles.  Neither fold is assumed: the test
+profiles.  A run splits its entry by one divmod into a head, the classes
+of divisions 1 and 2, and a tail, those of the rest, and reads the
+representatives and box runs of each half from tuples the table builds
+once.  Neither fold is assumed: the test
 suite compares the filled table with one core run per profile on every
 space a sweep uses, the own-position check's full-space table among them,
 and checks both folds on samples above.
@@ -68,16 +71,17 @@ check does only the work its verdict reads:
   table's permutation codes fit a byte only for n <= 5;
 * ce, cee, eap, pareto and own-position fill no whole table and stop at
   their first faulting run of blocks, whose blocks' head entries only are
-  filled and widened.  The kernel of ce, cee, eap and pareto translates a
-  run's codes to envy masks and peels all its envy graphs at once with int
-  operations.  own-position sweeps own-last bases, whose moved profiles lie
-  in the full space: its kernel reads their outcomes from a second class
-  table over the full space, filled by outcome boxes as the moves reach
-  it.  Its classes and boxes keep every division's own
-  worker where it is, so no entry a moved profile reads comes from a run
-  of a profile with that own worker elsewhere, its base among them: the
-  check tests the invariance the folds would otherwise assume.  The
-  check's fault function builds the witness from direct runs.
+  filled and widened, each pair of head classes once a check.  The kernel
+  of ce, cee, eap and pareto translates a run's codes to envy masks and
+  peels all its envy graphs at once with int operations.  own-position
+  sweeps own-last bases, whose moved profiles lie in the full space: its
+  kernel reads their outcomes from a second class table over the full
+  space, filled by outcome boxes as the moves reach it.  Its classes and
+  boxes keep every division's own worker where it is, so no entry a moved
+  profile reads comes from a run of a profile with that own worker
+  elsewhere, its base among them: the check tests the invariance the folds
+  would otherwise assume.  The check's fault function builds the witness
+  from direct runs.
 
 Sampled scopes draw from CPython's ``random.Random`` stream word for word,
 so a seed gives the same profiles and deviations it gave when they were
@@ -118,7 +122,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .mechanisms import mechanism_entry
 from .model import (
@@ -128,6 +132,7 @@ from .model import (
     MechanismId,
     PreferenceProfile,
     Problem,
+    _check_permutation,
     all_full_orders,
     all_orders_excluding,
     is_derangement,
@@ -732,10 +737,11 @@ def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
 
     The class table numbers class profiles as the space numbers profiles, by
     their class digits, and ``_widen`` turns its entries into one byte per
-    profile through cls.  boxes[j][c][w] is the range of table offsets of
-    division j+1's digit over the classes whose representative agrees with
-    reps[j][c] down to worker w: sorted representatives that share a prefix
-    are consecutive.
+    profile through cls.  boxes[j][c][w] is the run (length, start, step)
+    of table offsets of division j+1's digit over the classes whose
+    representative agrees with reps[j][c] down to worker w: sorted
+    representatives that share a prefix are consecutive.  boxes[j][c] is
+    indexed by worker, so entry 0 is None.
 
     With ``own_apart`` a class also keeps the position of the division's
     own worker, classes are numbered by that position first, and a box
@@ -765,10 +771,14 @@ def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
         for c, (g, r) in enumerate(heads):
             for k in range(1, len(r) + 1):
                 span[g, r[:k]] = (span.get((g, r[:k]), (c,))[0], c + 1)
-        boxes.append(tuple(
-            {w: range(*(x * wt for x in span[g, r[: k + 1]]), wt) for k, w in enumerate(r)}
-            for g, r in heads
-        ))
+        rows = []
+        for g, r in heads:
+            row = [None] * (len(r) + 1)  # indexed by worker
+            for k, w in enumerate(r):
+                first, last = span[g, r[: k + 1]]
+                row[w] = (last - first, first * wt, wt)
+            rows.append(tuple(row))
+        boxes.append(tuple(rows))
     return tuple(cls), tuple(reps), tuple(boxes)
 
 
@@ -776,8 +786,20 @@ class _ClassTable:
     """The outcome codes of a profile space, one byte per profile of the
     ``_order_classes`` representatives (0xFF when unfilled), filled by
     outcome boxes as they are read: ``table[idx]`` is profile idx's code.
-    One table serves one sweep; forked workers fill their own copies.
-    offsets[j][d] is the share of division j+1's order number d in an entry."""
+    offsets[j][d] is the share of division j+1's order number d in an entry.
+
+    An entry splits into a head, the class digits of divisions 1 and 2, and
+    a tail, those of divisions 3..n: entry pos is hi * len(tail) + lo.
+    head[hi] and tail[lo] are the representatives' orders, and head_boxes[hi]
+    and tail_boxes[lo] their ``_order_classes`` box rows, so a core run costs
+    one divmod to decode and one lookup per half for its boxes.  ``at``
+    holds the head and tail entry offsets of a profile's order digits, split
+    as blocks split the space: block b's head entry is at[0][b].
+
+    One table serves one check, and holds what the check needs of it: the
+    decode tables, built with the table, the offsets, built on first read,
+    and in ``wide`` each block of head entries once widened.  Forked workers
+    fill their own copies."""
 
     def __init__(self, runner: _Runner, space: _ProfileSpace, own_apart=False):
         self.runner, self.space = runner, space
@@ -785,10 +807,26 @@ class _ClassTable:
         self.cls, self.reps, self.boxes = classes
         self.weights = [math.prod(map(len, self.reps[j + 1 :])) for j in range(space.n)]
         self.offsets = [[c * wt for c in cs] for cs, wt in zip(self.cls, self.weights)]
-        self.codes = bytearray(b"\xff") * (self.weights[0] * len(self.reps[0]))
+        h = min(2, space.n)
+        self.head, self.tail, self.head_boxes, self.tail_boxes = (
+            tuple(itertools.product(*parts)) for parts in (
+                self.reps[:h], self.reps[h:], self.boxes[:h], self.boxes[h:]
+            )
+        )
+        self.codes = bytearray(b"\xff") * (len(self.head) * len(self.tail))
+        self.wide = {}  # head entry -> its block, widened
+
+    @cached_property
+    def at(self):
+        h = min(2, self.space.n)
+        return tuple(
+            tuple(map(sum, itertools.product(*parts))) for parts in (self.offsets[:h], self.offsets[h:])
+        )
 
     def __getitem__(self, idx):
-        e = sum(map(list.__getitem__, self.offsets, self.space.digits_of(idx)))
+        heads, tails = self.at
+        hi, lo = divmod(idx, self.space.block)
+        e = heads[hi] + tails[lo]
         if self.codes[e] == 0xFF:
             self.fill(e, e + 1)
         return self.codes[e]
@@ -796,16 +834,12 @@ class _ClassTable:
     def blocks(self, lo, hi):
         """The codes of blocks [lo, hi), blocks being the profiles that share
         their first two orders, all of one order of division 1: each block's
-        head entries filled, each distinct pair of head classes widened once."""
-        space, wide, starts = self.space, {}, []
-        for b in range(lo, hi):
-            head = space.digits_of(b * space.block)[:2]  # one digit at n=1
-            start = sum(map(list.__getitem__, self.offsets, head))
+        head entries filled and widened once per table."""
+        wide, width, starts = self.wide, len(self.tail), self.at[0][lo:hi]
+        for start in starts:
             if start not in wide:
-                end = start + self.weights[len(head) - 1]
-                self.fill(start, end)
-                wide[start] = _widen(self.codes[start:end], self.cls[2:])
-            starts.append(start)
+                self.fill(start, start + width)
+                wide[start] = _widen(self.codes[start : start + width], self.cls[2:])
         return b"".join(map(wide.__getitem__, starts))
 
     def fill(self, pos, end):
@@ -819,33 +853,37 @@ class _ClassTable:
         per mechanism, not derived, and tsd fails it once a group holds three
         divisions.  So the representatives of the first unfilled entry run
         the core once, and its code goes over the entry's whole box, a
-        product of class ranges written as one strided slice along the
-        longest range per entry of the others.  Boxes of one outcome are
-        equal or disjoint, so a box that meets a filled entry meets another
-        outcome: the fold fails for this mechanism, and the fill raises
-        rather than let a sweep read a wrong table."""
-        table, reps, boxes = self.codes, self.reps, self.boxes
-        code = _perm_codes(len(reps))[1]
+        product of class runs (length, start, step) written as one strided
+        slice along the longest run per entry of the others.  Boxes of one
+        outcome are equal or disjoint, so a box that meets a filled entry
+        meets another outcome: the fold fails for this mechanism, and the
+        fill raises rather than let a sweep read a wrong table."""
+        table, head, tail = self.codes, self.head, self.tail
+        head_boxes, tail_boxes, width = self.head_boxes, self.tail_boxes, len(tail)
+        code = _perm_codes(self.space.n)[1]
         while (pos := table.find(0xFF, pos, end)) >= 0:
-            digits, rest = [], pos
-            for wt in self.weights:
-                d, rest = divmod(rest, wt)
-                digits.append(d)
-            orders = tuple(map(tuple.__getitem__, reps, digits))
-            m = self.runner(orders)
-            ranges = [boxes[j][d][w] for j, (d, w) in enumerate(zip(digits, m))]
-            long = max(ranges, key=len)
-            ranges.remove(long)  # equal ranges hold the same offsets: either may go
-            starts = [long.start]
-            for r in ranges:
-                starts = [s + k for s in starts for k in r]
-            blank, fill = b"\xff" * len(long), bytes((code[m],)) * len(long)
+            hi, lo = divmod(pos, width)
+            m = self.runner(head[hi] + tail[lo])
+            runs = list(map(tuple.__getitem__, head_boxes[hi] + tail_boxes[lo], m))
+            length, start, step = long = max(runs)
+            if length == 1:  # the box is the run's own entry
+                table[pos] = code[m]
+                continue
+            runs.remove(long)  # equal runs hold the same offsets: either may go
+            starts = [0]
+            for k, first, st in runs:
+                if k == 1:
+                    start += first
+                else:
+                    starts = [s + t for s in starts for t in range(first, first + k * st, st)]
+            span, blank, fill = length * step, b"\xff" * length, bytes((code[m],)) * length
             for s in starts:
-                run = slice(s, s + len(long) * long.step, long.step)
+                s += start
+                run = slice(s, s + span, step)
                 if table[run] != blank:
                     raise RuntimeError(
                         f"outcome-prefix fold fails for {self.runner.label()}: the box of "
-                        f"profile {orders}, outcome {m}, meets another outcome"
+                        f"profile {head[hi] + tail[lo]}, outcome {m}, meets another outcome"
                     )
                 table[run] = fill
 
@@ -1170,17 +1208,23 @@ def _ri_draw(rng, orders, i, reduced):
 
 
 def _check(prop, mechanism, n, scope, partition, priority, jobs, sampled, sweep):
-    """The path every check runs through: test ``jobs``, resolve the scope,
-    test the size cap, bind the runner, run ``sampled(runner, scope)`` or
-    ``sweep(runner)``, and report.  Both return (holds, checked,
-    comparisons, witness)."""
+    """The path every check runs through: test ``jobs``, ``n`` and the
+    bound arguments, resolve the scope, test the size cap, bind the runner,
+    run ``sampled(runner, scope)`` or ``sweep(runner)``, and report.  Both
+    return (holds, checked, comparisons, witness)."""
     t0 = time.perf_counter()
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise MalformedProblem(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise MalformedProblem(f"jobs must be >= 1, got {jobs}")
     if n < 1:
         raise MalformedProblem(f"checks need n >= 1 divisions, got {n}")
     if n > sys.maxsize:
         raise MalformedProblem(f"checks need n <= {sys.maxsize} divisions, got {n}")
+    if priority is not None:
+        _check_permutation(priority, n, "priority")
+    if partition is not None and partition.n != n:
+        raise MalformedProblem(f"the partition is of n={partition.n} divisions, not n={n}")
     mid = as_mechanism_id(mechanism)
     if scope is None:
         scope = Scope("exhaustive", n)
@@ -1496,14 +1540,36 @@ CHECKS = {
 }
 
 
+# the fields a witness of each kind carries besides kind, mechanism, problem
+# and outcome
+_WITNESS_FIELDS = {
+    "sp": ("division", "misreport", "misreport_outcome"),
+    "ri": ("division", "improved_problem", "improved_outcome"),
+    "ce": (),
+    "cee": (),
+    "eap": ("partition",),
+    "pareto": (),
+    "own-position": ("moved_problem",),
+}
+
+
 def revalidate_witness(witness: dict) -> bool:
     """Replay a witness through the public mechanism API and confirm it still
-    exhibits the claimed violation.  Independent of the sweep fast paths."""
+    exhibits the claimed violation.  Independent of the sweep fast paths.
+    A witness that is not a dict, names no known kind or lacks a field its
+    kind reads raises MalformedProblem before any run."""
     from .mechanisms import run_mechanism
     from .model import AssignmentPartition, Problem, problem_from_dict
 
+    if not isinstance(witness, dict):
+        raise MalformedProblem(f"a witness is a dict, got {type(witness).__name__}")
+    kind = witness.get("kind")
+    if not isinstance(kind, str) or kind not in _WITNESS_FIELDS:
+        raise MalformedProblem(f"unknown witness kind {kind!r}")
+    missing = [k for k in ("mechanism", "problem", "outcome", *_WITNESS_FIELDS[kind]) if k not in witness]
+    if missing:
+        raise MalformedProblem(f"the {kind} witness lacks {', '.join(missing)}")
     mid = MechanismId.from_dict(witness["mechanism"])
-    kind = witness["kind"]
     problem = problem_from_dict(witness["problem"])
     out = run_mechanism(mid, problem)
     if list(out.mapping) != list(witness["outcome"]):
@@ -1538,10 +1604,8 @@ def revalidate_witness(witness: dict) -> bool:
         return not eap_efficient(problem.profile, partition, out)
     if kind == "pareto":
         return not pareto_efficient(problem.profile, out)
-    if kind == "own-position":
-        moved = problem_from_dict(witness["moved_problem"])
-        return run_mechanism(mid, moved).mapping != out.mapping
-    raise MalformedProblem(f"unknown witness kind {kind!r}")
+    moved = problem_from_dict(witness["moved_problem"])  # own-position
+    return run_mechanism(mid, moved).mapping != out.mapping
 
 
 # -- universal selection scan -------------------------------------------------

@@ -563,6 +563,49 @@ def test_every_check_rejects_jobs_below_one(prop, jobs):
         CHECKS[prop]("csd", 9, jobs=jobs)
 
 
+BAD_BOUND_ARGUMENTS = {
+    "repeated priority": {"priority": (1, 1, 2)},
+    "short priority": {"priority": (1, 2)},
+    "priority past n": {"priority": (2, 3, 4)},
+    "partition of n=4": {"partition": largest_first_construct(blocks_from_sizes([1, 1, 2]))},
+    "fractional jobs": {"jobs": 1.5},
+    "jobs as text": {"jobs": "2"},
+    "jobs as a bool": {"jobs": True},
+}
+
+
+@pytest.mark.parametrize("prop", sorted(CHECKS))
+@pytest.mark.parametrize("bad", sorted(BAD_BOUND_ARGUMENTS))
+def test_every_check_refuses_malformed_bound_arguments(prop, bad, monkeypatch):
+    # refused before any run, exhaustive or sampled; a repeated or short
+    # priority used to be bound as given and report "holds", a partition of
+    # another size to fail with a KeyError or a wrong verdict, and a
+    # fractional jobs to reach the fork
+    runs = []
+    monkeypatch.setattr(verifier._Runner, "__call__", lambda self, orders: runs.append(orders))
+    for tag in ("csd", "ttc"):
+        for scope in (None, Scope("sampled", 3, count=5, seed=0)):
+            with pytest.raises(MalformedProblem, match="priority|partition|jobs"):
+                CHECKS[prop](tag, 3, scope, **BAD_BOUND_ARGUMENTS[bad])
+    assert runs == []
+
+
+def test_revalidate_witness_refuses_a_malformed_witness():
+    witness = check_ce("ttc", 3).witness
+    assert revalidate_witness(witness)
+    for key in ("kind", "mechanism", "problem", "outcome"):
+        with pytest.raises(MalformedProblem, match="lacks|kind"):
+            revalidate_witness({k: v for k, v in witness.items() if k != key})
+    ri = check_ri("npb", 3).witness
+    assert revalidate_witness(ri)
+    for key in ("division", "improved_problem", "improved_outcome"):
+        with pytest.raises(MalformedProblem, match=f"the ri witness lacks {key}"):
+            revalidate_witness({k: v for k, v in ri.items() if k != key})
+    for bad in ({}, [], None, {"kind": ["sp"]}, {**witness, "kind": "strategyproof"}):
+        with pytest.raises(MalformedProblem):
+            revalidate_witness(bad)
+
+
 def test_check_rejects_unknown_mechanism():
     with pytest.raises(MalformedProblem):
         check_sp("nope", 3)
