@@ -13,7 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class MalformedProblem(ValueError):
@@ -42,7 +42,6 @@ class PreferenceProfile:
     """
 
     orders: tuple[tuple[int, ...], ...]
-    _ranks: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.orders:
@@ -52,8 +51,6 @@ class PreferenceProfile:
         n = len(orders)
         for i, order in enumerate(orders, start=1):
             _check_permutation(order, n, f"preference order of division {i}")
-        ranks = tuple({w: r for r, w in enumerate(order)} for order in orders)
-        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def n(self) -> int:
@@ -64,17 +61,19 @@ class PreferenceProfile:
 
     def rank(self, i: int, w: int) -> int:
         """0-based position of worker w in division i's order (0 = best)."""
-        return self._ranks[i - 1][w]
+        return self.orders[i - 1].index(w)
 
     def prefers(self, i: int, a: int, b: int) -> bool:
-        return self._ranks[i - 1][a] < self._ranks[i - 1][b]
+        order = self.orders[i - 1]
+        return order.index(a) < order.index(b)
 
     def weakly_prefers(self, i: int, a: int, b: int) -> bool:
-        return self._ranks[i - 1][a] <= self._ranks[i - 1][b]
+        order = self.orders[i - 1]
+        return order.index(a) <= order.index(b)
 
     def top(self, i: int, pool) -> int:
         """Division i's most preferred worker among ``pool`` (must be nonempty)."""
-        return min(pool, key=self._ranks[i - 1].__getitem__)
+        return min(pool, key=self.orders[i - 1].index)
 
     def with_order(self, i: int, order) -> "PreferenceProfile":
         """Copy of the profile with division i's order replaced."""
@@ -380,13 +379,16 @@ class MechanismId:
 
     @classmethod
     def from_dict(cls, d) -> "MechanismId":
-        mu0 = d.get("mu0")
-        order = d.get("order")
+        if not isinstance(d, dict) or not isinstance(d.get("tag"), str):
+            raise MalformedProblem(f"a mechanism is an object with a string 'tag', got {d!r}")
+        mu0, order, seed = d.get("mu0"), d.get("order"), d.get("seed")
+        if seed is not None and not _is_int(seed):
+            raise MalformedProblem(f"a mechanism's 'seed' must be an integer, got {seed!r}")
         return cls(
             d["tag"],
-            mu0=tuple(mu0) if isinstance(mu0, list) else mu0,
-            order=tuple(order) if order is not None else None,
-            seed=d.get("seed"),
+            mu0=mu0 if mu0 is None or isinstance(mu0, str) else _int_array(mu0, "'mu0'"),
+            order=_int_array(order, "'order'") if order is not None else None,
+            seed=seed,
         )
 
 
@@ -413,6 +415,23 @@ def _int_array(value, what) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not all(map(_is_int, value)):
         raise MalformedProblem(f"{what} must be an array of integers")
     return tuple(value)
+
+
+def partition_from_list(raw) -> AssignmentPartition:
+    """Build a partition from its JSON form, ``AssignmentPartition.to_list``'s."""
+    if not isinstance(raw, list):
+        raise MalformedProblem("'partition' must be an array of groups")
+    groups = []
+    for g in raw:
+        if not isinstance(g, dict) or set(g) != {"divisions", "workers"}:
+            raise MalformedProblem("each partition group needs exactly 'divisions' and 'workers'")
+        groups.append(
+            (
+                _int_array(g["divisions"], "partition 'divisions'"),
+                _int_array(g["workers"], "partition 'workers'"),
+            )
+        )
+    return AssignmentPartition(tuple(groups))
 
 
 def problem_from_dict(data) -> Problem:
@@ -442,22 +461,7 @@ def problem_from_dict(data) -> Problem:
     priority = () if priority is None else _int_array(priority, "'priority'")
     partition = None
     if data.get("partition") is not None:
-        raw = data["partition"]
-        if not isinstance(raw, list):
-            raise MalformedProblem("'partition' must be an array of groups")
-        groups = []
-        for g in raw:
-            if not isinstance(g, dict) or set(g) != {"divisions", "workers"}:
-                raise MalformedProblem(
-                    "each partition group needs exactly 'divisions' and 'workers'"
-                )
-            groups.append(
-                (
-                    _int_array(g["divisions"], "partition 'divisions'"),
-                    _int_array(g["workers"], "partition 'workers'"),
-                )
-            )
-        partition = AssignmentPartition(tuple(groups))
+        partition = partition_from_list(data["partition"])
     names = data.get("names")
     if names is not None and (
         not isinstance(names, list) or not all(isinstance(s, str) for s in names)

@@ -20,8 +20,12 @@ check reads the mechanism's outcomes from one class table (``_ClassTable``)
 and, except sp and ri, through one block scan, ``_outcome_scan``: a block
 is the profiles that share their first two orders, and a kernel chosen per
 check reads the outcome codes of a run of blocks at a time, runs of 1, 1,
-2, 4, ... blocks within one order of division 1.  ``jobs`` splits the
-blocks over forked workers after the parent has scanned the first; a
+2, 4, ... blocks within one order of division 1.  A sweep's table,
+kernel and fault function travel as its scans' arguments, never through a
+module global, so one check may run inside another.  ``jobs`` splits the
+blocks over forked workers after the parent has scanned the first: the
+pool's initializer hands each worker the scan and its arguments, which the
+fork copies and does not pickle, and each task names a range of blocks.  A
 worker that finds a violation notes it in shared memory, and the others
 stop before a block past it.  sp and ri run in one process for any
 ``jobs``; every check refuses ``jobs`` below 1.
@@ -122,9 +126,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
-from .mechanisms import mechanism_entry
+from .mechanisms import mechanism_entry, run_mechanism
 from .model import (
     Assignment,
     EnumerationBoundExceeded,
@@ -133,9 +137,13 @@ from .model import (
     PreferenceProfile,
     Problem,
     _check_permutation,
+    _int_array,
+    _is_int,
     all_full_orders,
     all_orders_excluding,
     is_derangement,
+    partition_from_list,
+    problem_from_dict,
     problem_to_dict,
 )
 from .partition import canonical_partition
@@ -157,6 +165,10 @@ class Scope:
     def __post_init__(self):
         if self.kind not in ("exhaustive", "sampled"):
             raise MalformedProblem(f"unknown scope kind {self.kind!r}")
+        for name in ("n", "count", "seed"):
+            value = getattr(self, name)
+            if (value is not None or name == "n") and not _is_int(value):
+                raise MalformedProblem(f"a scope's {name} must be an integer, got {value!r}")
         if self.kind == "sampled" and (self.count is None or self.seed is None):
             raise MalformedProblem("sampled scopes need count and seed")
         if self.kind == "sampled" and self.count < 1:
@@ -658,73 +670,57 @@ def _ri_step_scan(space: _ProfileSpace, table) -> int | None:
 
 # -- exhaustive sweep internals ----------------------------------------------
 
-# Shared state for forked sweep workers; index-range tasks read it after fork.
-_SWEEP = {}
 
-
-def _sp_scan(lo, hi):
-    """Scan base profiles in [lo, hi) for a profitable misreport.  Returns
-    (profiles_scanned, comparisons, (base, division, misreport index) or
-    None); stops at the first violation, which is minimal in (base index,
-    division, misreport)."""
-    space = _SWEEP["space"]
-    table = _SWEEP["table"]
+def _pairwise_scan(space: _ProfileSpace, table, lo, hi, deviants, beats):
+    """Scan base profiles in [lo, hi) for a deviation that leaves its
+    division worse off.  ``deviants(idx, digits, j)`` lists the profiles
+    division j+1 deviates to from base idx, in order, and ``beats(deviant
+    rank, base rank)`` is True on a violation, ranks taken in that
+    division's order at the base.  Returns (profiles_scanned, comparisons,
+    (base, division, deviant index) or None); stops at the first violation,
+    which is minimal in (base index, division, deviant)."""
     perms, _ = _perm_codes(space.n)
-    n = space.n
-    radix = space.radix
-    pows = space.pows
     rank_maps = space.rank_maps
     comparisons = 0
     for idx in range(lo, hi):
         digits = space.digits_of(idx)
         out = perms[table[idx]]
-        for j in range(n):  # division j+1
+        for j in range(space.n):  # division j+1
             rk = rank_maps[j][digits[j]]
             got = rk[out[j]]
-            base_contrib = digits[j] * pows[j]
-            stem = idx - base_contrib
-            for alt in range(radix):
-                if alt == digits[j]:
-                    continue
+            for other in deviants(idx, digits, j):
                 comparisons += 1
-                lie = stem + alt * pows[j]
-                if rk[perms[table[lie]][j]] < got:
-                    return idx - lo + 1, comparisons, (idx, j + 1, lie)
+                if beats(rk[perms[table[other]][j]], got):
+                    return idx - lo + 1, comparisons, (idx, j + 1, other)
     return hi - lo, comparisons, None
 
 
-def _ri_scan(lo, hi):
-    """Scan base profiles in [lo, hi) for an improvement that hurts its
-    subject.  Returns (profiles_scanned, comparisons, (base, subject,
-    improved index) or None)."""
-    space = _SWEEP["space"]
-    table = _SWEEP["table"]
+def _sp_scan(space: _ProfileSpace, table, lo, hi):
+    """The pairwise scan for a profitable misreport: a division deviates to
+    each of its other reports, all else fixed."""
+    pows, radix = space.pows, space.radix
+
+    def misreports(idx, digits, j):
+        stem = idx - digits[j] * pows[j]
+        return [stem + alt * pows[j] for alt in range(radix) if alt != digits[j]]
+
+    return _pairwise_scan(space, table, lo, hi, misreports, operator.lt)
+
+
+def _ri_scan(space: _ProfileSpace, table, lo, hi):
+    """The pairwise scan for an improvement that hurts its subject: the
+    other divisions deviate to every combination of raises of the subject's
+    worker, the identity left out."""
     raises = _pairwise_raises(space)
-    perms, _ = _perm_codes(space.n)
-    n = space.n
-    rank_maps = space.rank_maps
-    comparisons = 0
-    for idx in range(lo, hi):
-        digits = space.digits_of(idx)
-        out = perms[table[idx]]
-        for i in range(1, n + 1):
-            rk = rank_maps[i - 1][digits[i - 1]]
-            got = rk[out[i - 1]]
-            # partial sums over other divisions' raise options
-            idxs = [idx]
-            for j in range(n):
-                if j == i - 1:
-                    continue
-                opts = raises[i - 1][j][digits[j]]
-                if opts:
-                    idxs = [ix + d for ix in idxs for d in (0, *opts)]
-            for ix in idxs:
-                if ix == idx:
-                    continue
-                comparisons += 1
-                if rk[perms[table[ix]][i - 1]] > got:
-                    return idx - lo + 1, comparisons, (idx, i, ix)
-    return hi - lo, comparisons, None
+
+    def improvements(idx, digits, j):
+        idxs = [idx]  # partial sums over the divisions' raise options
+        for col, d in zip(raises[j], digits):
+            if col[d]:
+                idxs = [ix + delta for ix in idxs for delta in (0, *col[d])]
+        return idxs[1:]
+
+    return _pairwise_scan(space, table, lo, hi, improvements, operator.gt)
 
 
 @lru_cache(maxsize=None)
@@ -796,10 +792,11 @@ class _ClassTable:
     holds the head and tail entry offsets of a profile's order digits, split
     as blocks split the space: block b's head entry is at[0][b].
 
-    One table serves one check, and holds what the check needs of it: the
-    decode tables, built with the table, the offsets, built on first read,
-    and in ``wide`` each block of head entries once widened.  Forked workers
-    fill their own copies."""
+    One table serves one check, which hands it to its scans as an argument,
+    and holds what the check needs of it: the decode tables, built with the
+    table, the offsets, built on first read, and in ``wide`` each block of
+    head entries once widened.  Forked workers fill the copies they inherit
+    at fork."""
 
     def __init__(self, runner: _Runner, space: _ProfileSpace, own_apart=False):
         self.runner, self.space = runner, space
@@ -923,7 +920,7 @@ def _outcome_table(table: _ClassTable) -> bytearray:
     return _widen(table.codes, table.cls)
 
 
-def _outcome_scan(lo, hi):
+def _outcome_scan(table: _ClassTable, first, fault, lowest, lo, hi):
     """Run the mechanism on blocks [lo, hi) of profiles, a block being the
     ``space.block`` consecutive profiles that share their first two orders,
     and hand the outcome codes of each run of blocks to the sweep's kernel:
@@ -932,16 +929,15 @@ def _outcome_scan(lo, hi):
 
     Runs hold 1, 1, 2, 4, ... blocks, each as many as all before it, and
     end at the end of an order of division 1, so every block of a run
-    shares that order.  The codes come from the sweep's class table
+    shares that order.  The codes come from the sweep's class ``table``
     (``_ClassTable.blocks``), so a check that faults early pays for little
     of the table.  Stops at the first faulting run, or, in a forked sweep,
-    before a block past the lowest faulting block any worker has found, a
-    run ending there; the sweep's fault function gives the witness from a
-    run of the faulting profile itself, and the scan raises if it finds none
-    there.  Returns (profiles_run, None, (index, witness) or None)."""
-    table, first = _SWEEP["table"], _SWEEP["first"]
+    before a block past ``lowest``, the shared lowest faulting block any
+    worker has found (None when serial), a run ending there;
+    ``fault(runner, orders, out)`` gives the witness from a run of the
+    faulting profile itself, and the scan raises if it finds none there.
+    Returns (profiles_run, None, (index, witness) or None)."""
     space, runner = table.space, table.runner
-    lowest = _SWEEP.get("lowest")
     per = space.pows[0] // space.block  # blocks per order of division 1
     b = lo
     while b < hi:
@@ -957,7 +953,7 @@ def _outcome_scan(lo, hi):
                 with lowest.get_lock():
                     lowest.value = min(lowest.value, idx // space.block)
             orders = space.profile_at(idx)
-            wit = _SWEEP["fault"](runner, orders, runner(orders))
+            wit = fault(runner, orders, runner(orders))
             if wit is None:
                 raise RuntimeError(
                     f"a fold fails for {runner.label()}: the sweep's kernel flags profile "
@@ -1104,43 +1100,55 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_ranged(scan, size, jobs):
-    """Run a range scan over units [0, size), possibly split across processes.
+def _run_ranged(scan, size, jobs, *args):
+    """Run ``scan(*args, lowest, lo, hi)`` over units [0, size), possibly
+    split across processes; serially it runs once, ``lowest`` None.
 
     With ``jobs`` > 1 the parent scans unit 0 first, so a fault there costs
     no fork, and workers then scan chunks of the rest.  Their results are
     read in chunk order and the pool is shut down at the first violation,
     which is minimal in enumeration order: every earlier chunk came back
     clean and each chunk stops at its first hit.  So reports are identical
-    for any job count.  ``_SWEEP["lowest"]``, shared by the workers, holds
-    the lowest violating unit found so far: a scan that notes its violation
-    there lets the chunks already handed out stop before their next unit
-    past it, whose results are never read.  The count scanned is meaningful
-    only when no violation is found; callers report the witness position
-    otherwise.  Where the ``fork`` start method is unavailable the scan runs
-    serially: workers read the sweep state they inherit at fork.  A fork
-    pool starts all its workers at its first task, so the pool has no more
-    workers than chunks or CPUs this process may run on, whatever ``jobs``.
+    for any job count.  ``lowest``, shared by the workers, holds the lowest
+    violating unit found so far: a scan that notes its violation there lets
+    the chunks already handed out stop before their next unit past it,
+    whose results are never read.  The count scanned is meaningful only
+    when no violation is found; callers report the witness position
+    otherwise.  The pool's initializer (``_bind_scan``) hands each worker
+    the scan, ``args`` and ``lowest``, copied at fork and not pickled, and
+    a task (``_scan_chunk``) names its units only; where the ``fork`` start
+    method is unavailable the scan runs serially.  A fork pool starts all
+    its workers at its first task, so the pool has no more workers than
+    chunks or CPUs this process may run on, whatever ``jobs``.
     """
     if jobs <= 1 or "fork" not in mp.get_all_start_methods():
-        return scan(0, size)
-    checked, _, vio = scan(0, 1)
+        return scan(*args, None, 0, size)
+    checked, _, vio = scan(*args, None, 0, 1)
     step = max(1, -(-(size - 1) // (jobs * 8)))
     chunks = [(lo, min(size, lo + step)) for lo in range(1, size, step)]
     if vio is None and chunks:
         fork = mp.get_context("fork")
-        _SWEEP["lowest"] = fork.Value("q", size)
-        try:
-            workers = min(jobs, len(chunks), _usable_cpus())
-            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                for c, _, vio in pool.map(scan, *zip(*chunks)):
-                    checked += c
-                    if vio is not None:
-                        pool.shutdown(cancel_futures=True)
-                        break
-        finally:
-            del _SWEEP["lowest"]
+        lowest = fork.Value("q", size)
+        workers = min(jobs, len(chunks), _usable_cpus())
+        with ProcessPoolExecutor(workers, fork, initializer=_bind_scan, initargs=(scan, args, lowest)) as pool:
+            for c, _, vio in pool.map(_scan_chunk, *zip(*chunks)):
+                checked += c
+                if vio is not None:
+                    pool.shutdown(cancel_futures=True)
+                    break
     return checked, None, vio
+
+
+_bound_scan = None  # a forked worker's scan, bound to its sweep by _bind_scan
+
+
+def _bind_scan(scan, args, lowest):
+    global _bound_scan
+    _bound_scan = partial(scan, *args, lowest)
+
+
+def _scan_chunk(lo, hi):
+    return _bound_scan(lo, hi)
 
 
 # -- public checks ------------------------------------------------------------
@@ -1213,8 +1221,9 @@ def _check(prop, mechanism, n, scope, partition, priority, jobs, sampled, sweep)
     run ``sampled(runner, scope)`` or ``sweep(runner)``, and report.  Both
     return (holds, checked, comparisons, witness)."""
     t0 = time.perf_counter()
-    if isinstance(jobs, bool) or not isinstance(jobs, int):
-        raise MalformedProblem(f"jobs must be an integer, got {jobs!r}")
+    for name, value in (("jobs", jobs), ("n", n)):
+        if not _is_int(value):
+            raise MalformedProblem(f"{name} must be an integer, got {value!r}")
     if jobs < 1:
         raise MalformedProblem(f"jobs must be >= 1, got {jobs}")
     if n < 1:
@@ -1245,10 +1254,10 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
     The property is data: ``draw(rng, orders, i, reduced)`` samples a
     deviant profile; ``beats(deviant rank, base rank)`` is True on a
     violation; the witness names the deviation ``word`` and shows it as
-    ``show(runner, deviant, i)``.  When exhaustive, ``scan`` is the pairwise
-    scan over base profiles, ``fast(space, table)`` the first failing base
-    (``exact``) or a base at or after it, and ``holding(space)`` what the
-    pairwise scan compares when nothing fails.  The probe, the fill and the
+    ``show(runner, deviant, i)``.  When exhaustive, ``scan(space, table, lo,
+    hi)`` is the pairwise scan over base profiles, ``fast(space, table)``
+    the first failing base (``exact``) or a base at or after it, and
+    ``holding(space)`` what the pairwise scan compares when nothing fails.  The probe, the fill and the
     scans share one class table and run in one process.
     """
 
@@ -1284,18 +1293,13 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
     def sweep(runner):
         space = _space(n, runner.reduced)
         table = _ClassTable(runner, space)
-        _SWEEP.clear()
-        _SWEEP.update(space=space, table=table)
-        try:
-            _, _, vio = scan(0, space.radix)
-            if vio is None:
-                _SWEEP["table"] = codes = _outcome_table(table)
-                first = fast(space, codes)
-                if first is None:
-                    return True, space.size, holding(space), None
-                _, _, vio = scan(first if exact else space.radix, first + 1)
-        finally:
-            _SWEEP.clear()  # the table and its bytes last one check
+        _, _, vio = scan(space, table, 0, space.radix)
+        if vio is None:
+            codes = _outcome_table(table)
+            first = fast(space, codes)
+            if first is None:
+                return True, space.size, holding(space), None
+            _, _, vio = scan(space, codes, first if exact else space.radix, first + 1)
         idx, i, other = vio
         orders, deviant = space.profile_at(idx), space.profile_at(other)
         return False, idx + 1, None, witness(
@@ -1398,12 +1402,8 @@ def _profile_check(prop, fault, mechanism, n, scope, partition, priority, jobs, 
             first = _block_kernel(space, *_CLASSES[prop](runner.partition))
         else:
             first = _own_position_kernel(space, runner)
-        _SWEEP.clear()
-        _SWEEP.update(table=_ClassTable(runner, space), fault=fault, first=first)
-        try:
-            _, _, vio = _run_ranged(_outcome_scan, space.size // space.block, jobs)
-        finally:
-            _SWEEP.clear()  # the block tables last one check
+        table = _ClassTable(runner, space)
+        _, _, vio = _run_ranged(_outcome_scan, space.size // space.block, jobs, table, first, fault)
         if vio is None:
             return True, space.size, None, None
         return False, vio[0] + 1, None, vio[1]
@@ -1493,7 +1493,7 @@ def check_cee(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1
 
 def check_eap(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
     """Every output is partition-feasible and efficient among feasibles."""
-    if partition is None:
+    if partition is None and _is_int(n):  # _check refuses any other n
         partition = canonical_partition(n)
     return _profile_check("eap", _eap_fault, mechanism, n, scope, partition, priority, jobs)
 
@@ -1557,10 +1557,8 @@ def revalidate_witness(witness: dict) -> bool:
     """Replay a witness through the public mechanism API and confirm it still
     exhibits the claimed violation.  Independent of the sweep fast paths.
     A witness that is not a dict, names no known kind or lacks a field its
-    kind reads raises MalformedProblem before any run."""
-    from .mechanisms import run_mechanism
-    from .model import AssignmentPartition, Problem, problem_from_dict
-
+    kind reads raises MalformedProblem before any run, and so does one
+    whose field has the wrong shape when that field is read."""
     if not isinstance(witness, dict):
         raise MalformedProblem(f"a witness is a dict, got {type(witness).__name__}")
     kind = witness.get("kind")
@@ -1571,26 +1569,31 @@ def revalidate_witness(witness: dict) -> bool:
         raise MalformedProblem(f"the {kind} witness lacks {', '.join(missing)}")
     mid = MechanismId.from_dict(witness["mechanism"])
     problem = problem_from_dict(witness["problem"])
+
+    def ints(key):
+        return _int_array(witness[key], f"the witness's {key!r}")
+
+    i = witness.get("division")
+    if kind in ("sp", "ri") and not (_is_int(i) and 1 <= i <= problem.n):
+        raise MalformedProblem(f"the witness's 'division' must be one of 1..{problem.n}, got {i!r}")
     out = run_mechanism(mid, problem)
-    if list(out.mapping) != list(witness["outcome"]):
+    if out.mapping != ints("outcome"):
         return False
     if kind == "sp":
-        i = witness["division"]
         lied = Problem(
-            profile=problem.profile.with_order(i, witness["misreport"]),
+            profile=problem.profile.with_order(i, ints("misreport")),
             priority=problem.priority,
             partition=problem.partition,
             names=problem.names,
         )
         out2 = run_mechanism(mid, lied)
-        if list(out2.mapping) != list(witness["misreport_outcome"]):
+        if out2.mapping != ints("misreport_outcome"):
             return False
         return problem.profile.prefers(i, out2.worker_of(i), out.worker_of(i))
     if kind == "ri":
-        i = witness["division"]
         improved = problem_from_dict(witness["improved_problem"])
         out2 = run_mechanism(mid, improved)
-        if list(out2.mapping) != list(witness["improved_outcome"]):
+        if out2.mapping != ints("improved_outcome"):
             return False
         return certify_ri_violation(problem.profile, improved.profile, i, out, out2)
     if kind == "ce":
@@ -1598,10 +1601,7 @@ def revalidate_witness(witness: dict) -> bool:
     if kind == "cee":
         return not out.is_derangement() or not is_ce_efficient(problem.profile, out)
     if kind == "eap":
-        partition = AssignmentPartition(
-            tuple((tuple(g["divisions"]), tuple(g["workers"])) for g in witness["partition"])
-        )
-        return not eap_efficient(problem.profile, partition, out)
+        return not eap_efficient(problem.profile, partition_from_list(witness["partition"]), out)
     if kind == "pareto":
         return not pareto_efficient(problem.profile, out)
     moved = problem_from_dict(witness["moved_problem"])  # own-position
@@ -1644,6 +1644,8 @@ def scan_ce_efficient_selections(n: int = 3, pinned=None) -> SelectionScanReport
     improvement pair inside the subspace.  ``pinned`` maps profiles (tuples
     of orders) to the assignment every counted rule selects there.
     """
+    if not _is_int(n) or n < 1:
+        raise MalformedProblem(f"the selection scan needs an integer n >= 1, got {n!r}")
     if n > _SCAN_MAX_N:
         raise EnumerationBoundExceeded(f"selection scan is capped at n={_SCAN_MAX_N}")
     space = _space(n, reduced=True)

@@ -11,6 +11,8 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import reassign.cli
 from reassign import verifier
 
@@ -52,3 +54,23 @@ def test_tracer_hooks_resolve():
     assert {layer for layer in layers if not tracer.calls[layer]} == set()
     assert tracer.calls["mechanisms.ttc"] and tracer.calls["mechanisms.csd"]
     assert tracer.counts["verifier.fanout.chunks"]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_scan_counters_are_filed_under_the_outcome_scan(jobs):
+    # the tracer files a ranged scan's counters under the name of
+    # _run_ranged's first argument, so that must be _outcome_scan itself,
+    # serial or forked
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        report = verifier.check_pareto("ttc", 3, jobs=jobs)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == {}
+    assert {key for key in tracer.counts if key.endswith(".profiles")} == {
+        "verifier.scan.outcome.profiles",
+        "verifier.scan.profiles",
+    }
+    assert tracer.counts["verifier.scan.outcome.profiles"] == report.checked == 6**3
+    assert bool(tracer.counts["verifier.fanout.chunks"]) == (jobs > 1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import mmap
@@ -606,6 +607,63 @@ def test_revalidate_witness_refuses_a_malformed_witness():
             revalidate_witness(bad)
 
 
+def test_revalidate_witness_refuses_malformed_values():
+    # each used to raise a bare AttributeError, KeyError, TypeError or
+    # IndexError, or to read a division counted from the end
+    ce = check_ce("ttc", 3).witness
+    sp = check_sp("npb", 4).witness
+    ri = check_ri("npb", 3).witness
+    eap = check_eap("cettc", 3).witness
+    for witness in (ce, sp, ri, eap):
+        assert revalidate_witness(witness)
+    bad = [
+        {**ce, "mechanism": "csd"},
+        {**ce, "mechanism": {}},
+        {**ce, "mechanism": {"tag": 5}},
+        {**ce, "mechanism": {"tag": "cettc", "mu0": [1.5, 3, 1]}},
+        {**ce, "mechanism": {"tag": "cettc", "mu0": 5}},
+        {**ce, "mechanism": {"tag": "cettc", "mu0": "random", "seed": "1"}},
+        {**ce, "outcome": 5},
+        {**ce, "outcome": [2.0, 3, 1]},
+        *({**witness, "division": d} for witness in (sp, ri) for d in (0, 5, "1", True, None)),
+        {**sp, "misreport": 5},
+        {**sp, "misreport_outcome": 5},
+        {**ri, "improved_outcome": 5},
+        {**eap, "partition": 5},
+        {**eap, "partition": [{"divisions": [1]}]},
+    ]
+    for witness in bad:
+        with pytest.raises(MalformedProblem):
+            revalidate_witness(witness)
+
+
+@pytest.mark.parametrize("n", (3.0, "3", True, None))
+@pytest.mark.parametrize("prop", sorted(CHECKS))
+def test_every_check_refuses_a_size_that_is_not_an_integer(prop, n):
+    # 3.0 and "3" used to raise TypeError, and True to run at n=1
+    for tag in ("csd", "ttc"):
+        with pytest.raises(MalformedProblem, match="n must be an integer"):
+            CHECKS[prop](tag, n)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 3.0), ("n", "3"), ("count", 2.5), ("count", True), ("seed", 1.0), ("seed", "1"), ("seed", False),
+])
+def test_scope_refuses_fields_that_are_not_integers(field, value):
+    # a fractional count used to raise TypeError in the sampling loop, and
+    # count=True to draw one sample
+    with pytest.raises(MalformedProblem, match=f"scope's {field} must be an integer"):
+        Scope(**{"kind": "sampled", "n": 3, "count": 2, "seed": 1, field: value})
+    assert Scope("exhaustive", 3).to_dict() == {"kind": "exhaustive", "n": 3}
+
+
+@pytest.mark.parametrize("n", (0, -1, 2.0, "3", True))
+def test_selection_scan_refuses_a_size_below_one_or_not_an_integer(n):
+    # n=0 used to raise IndexError
+    with pytest.raises(MalformedProblem, match="integer n >= 1"):
+        scan_ce_efficient_selections(n)
+
+
 def test_check_rejects_unknown_mechanism():
     with pytest.raises(MalformedProblem):
         check_sp("nope", 3)
@@ -678,10 +736,8 @@ def sweep_of(mechanism, n):
 
 def pairwise_scan(prop, space, table, lo=0, hi=None):
     """The pairwise sp or ri scan over a fully built table."""
-    verifier._SWEEP.clear()
-    verifier._SWEEP.update(space=space, table=table, raises=verifier._pairwise_raises(space))
     scan = verifier._sp_scan if prop == "sp" else verifier._ri_scan
-    return scan(lo, space.size if hi is None else hi)
+    return scan(space, table, lo, space.size if hi is None else hi)
 
 
 def pairwise_report(prop, mechanism, n):
@@ -1140,10 +1196,9 @@ def test_fanout_without_fork_runs_serially(monkeypatch):
 _RAN = mmap.mmap(-1, 17)
 
 
-def _faulting_first_chunk(lo, hi):
+def _faulting_first_chunk(lowest, lo, hi):
     # a scan that keeps the fan-out's protocol, as _outcome_scan does: stop
     # past the lowest violation noted, note its own
-    lowest = verifier._SWEEP.get("lowest")
     if lowest is not None and lowest.value < lo:
         return 0, None, None
     _RAN[lo] = 1
@@ -1164,7 +1219,7 @@ def test_fanout_stops_at_the_first_violation():
     assert verifier._run_ranged(_faulting_first_chunk, 17, 2) == (2, None, (1, "hit"))
     assert _RAN[0] == _RAN[1] == 1
     assert sum(_RAN[2:]) <= 1
-    assert "lowest" not in verifier._SWEEP
+    assert verifier._bound_scan is None  # only the workers bound the scan
 
 
 def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
@@ -1182,27 +1237,24 @@ def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
         calls.clear()
         lowest = multiprocessing.get_context().Value("q", low)
         table = verifier._ClassTable(runner, space)
-        verifier._SWEEP.clear()
-        verifier._SWEEP.update(table=table, first=lambda codes, b: None, lowest=lowest)
-        try:
-            assert verifier._outcome_scan(low + 1, hi) == (0, None, None)
-            assert calls == []
-            assert verifier._outcome_scan(2, hi) == ((low - 1) * space.block, None, None)
-            heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
-            assert 2 in heads and heads <= set(range(2, low + 1))
-            assert 0xFF not in table.codes[2 * space.block : (low + 1) * space.block]
-        finally:
-            verifier._SWEEP.clear()
+        sweep = (table, lambda codes, b: None, None, lowest)
+        assert verifier._outcome_scan(*sweep, low + 1, hi) == (0, None, None)
+        assert calls == []
+        assert verifier._outcome_scan(*sweep, 2, hi) == ((low - 1) * space.block, None, None)
+        heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
+        assert 2 in heads and heads <= set(range(2, low + 1))
+        assert 0xFF not in table.codes[2 * space.block : (low + 1) * space.block]
 
 
 class SerialPool:
     """A stand-in for ``ProcessPoolExecutor`` that records the workers asked
-    for and maps in the calling process."""
+    for, runs the initializer and maps in the calling process."""
 
     workers = []
 
-    def __init__(self, max_workers, mp_context):
+    def __init__(self, max_workers, mp_context, initializer, initargs):
         self.workers.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -1228,6 +1280,7 @@ def test_fanout_pool_has_no_more_workers_than_chunks_or_cpus(cpus, monkeypatch):
         monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(SerialPool, "workers", [])
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verifier, "_bound_scan", None)  # the pool binds it in this process
     many = check_pareto("ttc", 3, jobs=10**6).to_dict()
     assert SerialPool.workers == [min(35, verifier._usable_cpus())]
     assert multiprocessing.active_children() == []
@@ -1252,13 +1305,36 @@ def test_deviation_checks_start_no_pool_for_any_jobs(check, tag, n, monkeypatch)
     assert multi == solo
 
 
-@pytest.mark.parametrize("check,tag,n,holds", [
-    (check_sp, "csd", 3, True), (check_sp, "npb", 4, False),
-    (check_ri, "csd", 3, True), (check_ri, "cettc", 3, False),
+@pytest.mark.parametrize("outer,inner", [
+    pytest.param((check_sp, "npb", 4), (check_pareto, "bttc", 3), id="sp-npb-4-around-pareto-bttc-3"),
+    pytest.param((check_pareto, "bttc", 3), (check_sp, "npb", 4), id="pareto-bttc-3-around-sp-npb-4"),
+    pytest.param((check_sp, "csd", 3), (check_ri, "cettc", 3), id="sp-csd-3-around-ri-cettc-3"),
+    pytest.param((check_ri, "csd", 3), (check_own_position_invariance, "ttc", 3),
+                 id="ri-csd-3-around-own-position-ttc-3"),
+    pytest.param((check_ri, "cettc", 3), (check_sp, "csd", 3), id="ri-cettc-3-around-sp-csd-3"),
+    pytest.param((check_cee, "npb", 3), (check_ri, "csd", 3), id="cee-npb-3-around-ri-csd-3"),
+    pytest.param((functools.partial(check_pareto, jobs=2), "ttc", 3), (check_sp, "npb", 4),
+                 id="forked-pareto-ttc-3-around-sp-npb-4"),
 ])
-def test_deviation_sweeps_leave_no_state(check, tag, n, holds):
-    assert check(tag, n).holds == holds
-    assert verifier._SWEEP == {}
+def test_a_check_inside_another_leaves_both_reports_intact(outer, inner, monkeypatch):
+    # a sweep's state travels as arguments, so a check started from inside
+    # another's first core run changes neither report
+    def report(check, tag, n):
+        fields = check(tag, n).to_dict()
+        fields.pop("elapsed_s")
+        return fields
+
+    alone = report(*outer), report(*inner)
+    nested = []
+    call = verifier._Runner.__call__
+
+    def first_run_nests(self, orders):
+        monkeypatch.setattr(verifier._Runner, "__call__", call)  # nest once
+        nested.append(report(*inner))
+        return call(self, orders)
+
+    monkeypatch.setattr(verifier._Runner, "__call__", first_run_nests)
+    assert (report(*outer), *nested) == alone
 
 
 def test_own_position_report_is_the_same_for_any_jobs():
