@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mu0", default="cyclic", help="initial derangement (cettc)")
     p_verify.add_argument("--order", default=None, help="fixed division order (sd)")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for exhaustive sweeps other than sp and ri")
+                          help="must be >= 1; every sweep runs in one process whatever its value")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

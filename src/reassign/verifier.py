@@ -22,13 +22,8 @@ is the profiles that share their first two orders, and a kernel chosen per
 check reads the outcome codes of a run of blocks at a time, runs of 1, 1,
 2, 4, ... blocks within one order of division 1.  A sweep's table,
 kernel and fault function travel as its scans' arguments, never through a
-module global, so one check may run inside another.  ``jobs`` splits the
-blocks over forked workers after the parent has scanned the first: the
-pool's initializer hands each worker the scan and its arguments, which the
-fork copies and does not pickle, and each task names a range of blocks.  A
-worker that finds a violation notes it in shared memory, and the others
-stop before a block past it.  sp and ri run in one process for any
-``jobs``; every check refuses ``jobs`` below 1.
+module global, so one check may run inside another.  Every check runs in
+the calling process whatever ``jobs`` is, and refuses ``jobs`` below 1.
 
 The class table runs the mechanism once per box of profiles that must share
 an outcome, not once per profile.  First, a registry entry's ``reads`` field
@@ -98,8 +93,7 @@ twins and fails if a CPython release changes how they consume the stream.
 
 A failure found by a fast scan is replayed through the pairwise scan up to
 its base profile, so reports (verdict, checked, comparisons, witness) are
-those of the pairwise scans, deterministic and minimal in enumeration order
-regardless of --jobs.
+those of the pairwise scans, deterministic and minimal in enumeration order.
 
 The three efficiency oracles ask one question over three classes of
 assignments (all of them, derangements, partition-feasible ones) and answer
@@ -118,15 +112,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing as mp
 import operator
-import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .mechanisms import mechanism_entry, run_mechanism
 from .model import (
@@ -795,8 +786,7 @@ class _ClassTable:
     One table serves one check, which hands it to its scans as an argument,
     and holds what the check needs of it: the decode tables, built with the
     table, the offsets, built on first read, and in ``wide`` each block of
-    head entries once widened.  Forked workers fill the copies they inherit
-    at fork."""
+    head entries once widened."""
 
     def __init__(self, runner: _Runner, space: _ProfileSpace, own_apart=False):
         self.runner, self.space = runner, space
@@ -920,8 +910,8 @@ def _outcome_table(table: _ClassTable) -> bytearray:
     return _widen(table.codes, table.cls)
 
 
-def _outcome_scan(table: _ClassTable, first, fault, lowest, lo, hi):
-    """Run the mechanism on blocks [lo, hi) of profiles, a block being the
+def _outcome_scan(table: _ClassTable, first, fault, size):
+    """Run the mechanism on blocks [0, size) of profiles, a block being the
     ``space.block`` consecutive profiles that share their first two orders,
     and hand the outcome codes of each run of blocks to the sweep's kernel:
     ``first(codes, b)`` returns the offset, in the run starting at block b,
@@ -931,27 +921,18 @@ def _outcome_scan(table: _ClassTable, first, fault, lowest, lo, hi):
     end at the end of an order of division 1, so every block of a run
     shares that order.  The codes come from the sweep's class ``table``
     (``_ClassTable.blocks``), so a check that faults early pays for little
-    of the table.  Stops at the first faulting run, or, in a forked sweep,
-    before a block past ``lowest``, the shared lowest faulting block any
-    worker has found (None when serial), a run ending there;
+    of the table.  The scan stops at the first faulting run:
     ``fault(runner, orders, out)`` gives the witness from a run of the
     faulting profile itself, and the scan raises if it finds none there.
     Returns (profiles_run, None, (index, witness) or None)."""
     space, runner = table.space, table.runner
     per = space.pows[0] // space.block  # blocks per order of division 1
-    b = lo
-    while b < hi:
-        end = min(hi, b + max(1, b - lo), (b // per + 1) * per)
-        if lowest is not None:
-            if lowest.value < b:
-                return (b - lo) * space.block, None, None
-            end = min(end, lowest.value + 1)
+    b = 0
+    while b < size:
+        end = min(size, b + max(1, b), (b // per + 1) * per)
         k = first(table.blocks(b, end), b)
         if k is not None:
             idx = b * space.block + k
-            if lowest is not None:
-                with lowest.get_lock():
-                    lowest.value = min(lowest.value, idx // space.block)
             orders = space.profile_at(idx)
             wit = fault(runner, orders, runner(orders))
             if wit is None:
@@ -959,9 +940,9 @@ def _outcome_scan(table: _ClassTable, first, fault, lowest, lo, hi):
                     f"a fold fails for {runner.label()}: the sweep's kernel flags profile "
                     f"{orders}, which direct runs clear"
                 )
-            return idx - lo * space.block + 1, None, (idx, wit)
+            return idx + 1, None, (idx, wit)
         b = end
-    return (hi - lo) * space.block, None, None
+    return size * space.block, None, None
 
 
 def _block_kernel(space: _ProfileSpace, outside, allowed):
@@ -1093,62 +1074,23 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
     return first
 
 
-def _usable_cpus():
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_ranged(scan, size, jobs, *args):
-    """Run ``scan(*args, lowest, lo, hi)`` over units [0, size), possibly
-    split across processes; serially it runs once, ``lowest`` None.
-
-    With ``jobs`` > 1 the parent scans unit 0 first, so a fault there costs
-    no fork, and workers then scan chunks of the rest.  Their results are
-    read in chunk order and the pool is shut down at the first violation,
-    which is minimal in enumeration order: every earlier chunk came back
-    clean and each chunk stops at its first hit.  So reports are identical
-    for any job count.  ``lowest``, shared by the workers, holds the lowest
-    violating unit found so far: a scan that notes its violation there lets
-    the chunks already handed out stop before their next unit past it,
-    whose results are never read.  The count scanned is meaningful only
-    when no violation is found; callers report the witness position
-    otherwise.  The pool's initializer (``_bind_scan``) hands each worker
-    the scan, ``args`` and ``lowest``, copied at fork and not pickled, and
-    a task (``_scan_chunk``) names its units only; where the ``fork`` start
-    method is unavailable the scan runs serially.  A fork pool starts all
-    its workers at its first task, so the pool has no more workers than
-    chunks or CPUs this process may run on, whatever ``jobs``.
-    """
-    if jobs <= 1 or "fork" not in mp.get_all_start_methods():
-        return scan(*args, None, 0, size)
-    checked, _, vio = scan(*args, None, 0, 1)
-    step = max(1, -(-(size - 1) // (jobs * 8)))
-    chunks = [(lo, min(size, lo + step)) for lo in range(1, size, step)]
-    if vio is None and chunks:
-        fork = mp.get_context("fork")
-        lowest = fork.Value("q", size)
-        workers = min(jobs, len(chunks), _usable_cpus())
-        with ProcessPoolExecutor(workers, fork, initializer=_bind_scan, initargs=(scan, args, lowest)) as pool:
-            for c, _, vio in pool.map(_scan_chunk, *zip(*chunks)):
-                checked += c
-                if vio is not None:
-                    pool.shutdown(cancel_futures=True)
-                    break
-    return checked, None, vio
+    """Run ``scan(*args, size)`` over units [0, size) in this process,
+    whatever ``jobs``, and return its (scanned, comparisons, violation).
+    perfbench/tracer.py wraps this boundary and reads ``jobs`` as its third
+    argument."""
+    return scan(*args, size)
 
 
-_bound_scan = None  # a forked worker's scan, bound to its sweep by _bind_scan
+def __getattr__(name):
+    # Nothing in src/ uses ProcessPoolExecutor.  The name stays resolvable,
+    # imported only when asked for, for perfbench/tracer.py, which wraps it,
+    # until a benchmark change re-points the tracer (ROADMAP item 9).
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _bind_scan(scan, args, lowest):
-    global _bound_scan
-    _bound_scan = partial(scan, *args, lowest)
-
-
-def _scan_chunk(lo, hi):
-    return _bound_scan(lo, hi)
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- public checks ------------------------------------------------------------
@@ -1219,7 +1161,8 @@ def _check(prop, mechanism, n, scope, partition, priority, jobs, sampled, sweep)
     """The path every check runs through: test ``jobs``, ``n`` and the
     bound arguments, resolve the scope, test the size cap, bind the runner,
     run ``sampled(runner, scope)`` or ``sweep(runner)``, and report.  Both
-    return (holds, checked, comparisons, witness)."""
+    return (holds, checked, comparisons, witness).  ``jobs`` must be an int
+    >= 1 and changes nothing: every check runs in the calling process."""
     t0 = time.perf_counter()
     for name, value in (("jobs", jobs), ("n", n)):
         if not _is_int(value):
@@ -1257,8 +1200,8 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
     ``show(runner, deviant, i)``.  When exhaustive, ``scan(space, table, lo,
     hi)`` is the pairwise scan over base profiles, ``fast(space, table)``
     the first failing base (``exact``) or a base at or after it, and
-    ``holding(space)`` what the pairwise scan compares when nothing fails.  The probe, the fill and the
-    scans share one class table and run in one process.
+    ``holding(space)`` what the pairwise scan compares when nothing fails.
+    The probe, the fill and the scans share one class table.
     """
 
     def witness(runner, orders, deviant, i, out, out2):
@@ -1310,10 +1253,7 @@ def _deviation_check(prop, mechanism, n, scope, partition, priority, jobs, *,
 
 
 def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """No division can gain by misreporting its order, all else fixed.
-
-    ``jobs`` must be at least 1, as in every check; the sweep runs in one
-    process for any such value."""
+    """No division can gain by misreporting its order, all else fixed."""
     return _deviation_check(
         "sp", mechanism, n, scope, partition, priority, jobs,
         draw=_sp_draw,
@@ -1328,10 +1268,7 @@ def check_sp(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1)
 
 
 def check_ri(mechanism, n, scope=None, *, partition=None, priority=None, jobs=1):
-    """A division never loses when other divisions rank its worker higher.
-
-    ``jobs`` must be at least 1, as in every check; the sweep runs in one
-    process for any such value."""
+    """A division never loses when other divisions rank its worker higher."""
     return _deviation_check(
         "ri", mechanism, n, scope, partition, priority, jobs,
         draw=_ri_draw,

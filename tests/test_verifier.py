@@ -1,11 +1,12 @@
 import functools
 import itertools
 import math
-import mmap
-import multiprocessing
 import operator
+import os
 import random
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -999,13 +1000,13 @@ def fields_or_error(run):
 @pytest.mark.parametrize(
     "mid", [MechanismId(t) for t in ALL_TAGS] + [MechanismId("cettc", mu0="random", seed=5)], ids=str
 )
-def test_block_scan_matches_streamed_sweep(mid, prop, n, monkeypatch):
-    assert_block_scan_matches_streamed_sweep(prop, mid, n, {}, monkeypatch)
+def test_block_scan_matches_streamed_sweep(mid, prop, n):
+    assert_block_scan_matches_streamed_sweep(prop, mid, n, {})
 
 
-def assert_block_scan_matches_streamed_sweep(prop, mid, n, bound, monkeypatch):
-    """The block scan's report at jobs 1, jobs 2 and jobs 2 without fork
-    equals the streamed sweep's; ``bound`` holds the partition and priority."""
+def assert_block_scan_matches_streamed_sweep(prop, mid, n, bound):
+    """The block scan's report at jobs 1 and jobs 2 equals the streamed
+    sweep's; ``bound`` holds the partition and priority."""
     expected = fields_or_error(lambda: streamed_sweep(prop, mid, n, **bound))
 
     def block(jobs):
@@ -1013,14 +1014,6 @@ def assert_block_scan_matches_streamed_sweep(prop, mid, n, bound, monkeypatch):
 
     assert block(1) == expected
     assert block(2) == expected
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    with monkeypatch.context() as m:
-        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        m.setattr(verifier, "ProcessPoolExecutor", no_pool)
-        assert block(2) == expected
 
 
 OWN_POSITION_BINDINGS = {
@@ -1037,12 +1030,10 @@ SD_ORDER = MechanismId("sd", order=(2, 4, 1, 3))
     + [(SD_ORDER, b) for b in sorted(OWN_POSITION_BINDINGS)],
     ids=str,
 )
-def test_own_position_block_scan_matches_streamed_sweep(mid, binding, monkeypatch):
+def test_own_position_block_scan_matches_streamed_sweep(mid, binding):
     # the own-position kernel reads a full-space table bound to the
     # partition, the priority and sd's order
-    assert_block_scan_matches_streamed_sweep(
-        "own-position", mid, 4, OWN_POSITION_BINDINGS[binding], monkeypatch
-    )
+    assert_block_scan_matches_streamed_sweep("own-position", mid, 4, OWN_POSITION_BINDINGS[binding])
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -1177,132 +1168,49 @@ def test_block_scan_stops_at_the_first_failing_block(monkeypatch):
 TABLE_SWEEPS = ((check_sp, "ttc"), (check_ri, "ttc"), (check_ri, "cettc"))
 
 
-def test_fanout_without_fork_runs_serially(monkeypatch):
+def test_fanout_without_fork_runs_serially():
+    # every sweep runs in the calling process, so jobs=2 reports as jobs=1
     sweeps = ((check_pareto, "bttc"),) + TABLE_SWEEPS
-    forked = [check(tag, 3, jobs=2).to_dict() for check, tag in sweeps]
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
-    serial = [check(tag, 3, jobs=2).to_dict() for check, tag in sweeps]
-    for report in forked + serial:
+    multi = [check(tag, 3, jobs=2).to_dict() for check, tag in sweeps]
+    solo = [check(tag, 3, jobs=1).to_dict() for check, tag in sweeps]
+    for report in multi + solo:
         report.pop("elapsed_s")
-    assert serial == forked
-
-
-# byte k set once the chunk starting at unit k has run, in any process
-_RAN = mmap.mmap(-1, 17)
-
-
-def _faulting_first_chunk(lowest, lo, hi):
-    # a scan that keeps the fan-out's protocol, as _outcome_scan does: stop
-    # past the lowest violation noted, note its own
-    if lowest is not None and lowest.value < lo:
-        return 0, None, None
-    _RAN[lo] = 1
-    if lo == 1:  # the first chunk past the parent's probe of unit 0
-        lowest.value = lo
-        return hi - lo, None, (lo, "hit")
-    if lo > 1:
-        time.sleep(0.3)
-    return hi - lo, None, None
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_fanout_stops_at_the_first_violation():
-    # 16 one-unit chunks on two workers: once the first chunk notes its
-    # violation, only the chunk the other worker had already started runs;
-    # the chunks handed out later stop at once, the rest are cancelled
-    _RAN[:] = bytes(17)
-    assert verifier._run_ranged(_faulting_first_chunk, 17, 2) == (2, None, (1, "hit"))
-    assert _RAN[0] == _RAN[1] == 1
-    assert sum(_RAN[2:]) <= 1
-    assert verifier._bound_scan is None  # only the workers bound the scan
-
-
-def test_outcome_scan_stops_past_the_lowest_violation(monkeypatch):
-    # a forked scan whose next block lies past a violation another worker
-    # noted runs no further block; blocks up to the violation still run,
-    # each filling its head entries of the class table by outcome boxes.
-    # Runs of 1, 1, 2, 4 blocks from block 2 would end at blocks 2, 3, 5
-    # (the end of division 1's first order), 9: the violations at 4 and 8
-    # cut a run short, the one at 9 ends one
-    runner = verifier._Runner(MechanismId("bttc"), 3)
-    space = verifier._space(3, False)
-    calls = []
-    monkeypatch.setattr(verifier._Runner, "__call__", lambda self, orders: calls.append(orders) or (1, 2, 3))
-    for low, hi in ((4, 9), (8, 36), (9, 36)):
-        calls.clear()
-        lowest = multiprocessing.get_context().Value("q", low)
-        table = verifier._ClassTable(runner, space)
-        sweep = (table, lambda codes, b: None, None, lowest)
-        assert verifier._outcome_scan(*sweep, low + 1, hi) == (0, None, None)
-        assert calls == []
-        assert verifier._outcome_scan(*sweep, 2, hi) == ((low - 1) * space.block, None, None)
-        heads = {space.order_index[0][o[0]] * space.radix + space.order_index[1][o[1]] for o in calls}
-        assert 2 in heads and heads <= set(range(2, low + 1))
-        assert 0xFF not in table.codes[2 * space.block : (low + 1) * space.block]
-
-
-class SerialPool:
-    """A stand-in for ``ProcessPoolExecutor`` that records the workers asked
-    for, runs the initializer and maps in the calling process."""
-
-    workers = []
-
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.workers.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-@pytest.mark.parametrize("cpus", (None, 10**6))
-def test_fanout_pool_has_no_more_workers_than_chunks_or_cpus(cpus, monkeypatch):
-    # a fork pool starts all its workers at its first task, so a million
-    # jobs must ask for no more workers than the 35 chunks of the blocks
-    # past the first at full n=3, nor than this process's CPUs
-    solo = check_pareto("ttc", 3).to_dict()
-    if cpus is not None:
-        monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(SerialPool, "workers", [])
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(verifier, "_bound_scan", None)  # the pool binds it in this process
-    many = check_pareto("ttc", 3, jobs=10**6).to_dict()
-    assert SerialPool.workers == [min(35, verifier._usable_cpus())]
-    assert multiprocessing.active_children() == []
-    solo.pop("elapsed_s")
-    many.pop("elapsed_s")
-    assert many == solo
+    assert multi == solo
 
 
 @pytest.mark.parametrize("check", (check_sp, check_ri))
 @pytest.mark.parametrize("tag,n", [("ttc", 3), ("cettc", 4), ("npb", 4), ("csd", 4)])
-def test_deviation_checks_start_no_pool_for_any_jobs(check, tag, n, monkeypatch):
+def test_deviation_checks_start_no_pool_for_any_jobs(check, tag, n):
     # sp and ri probe, fill and scan one class table in the calling process
+    # (test_checks_load_no_process_pool shows no pool module is ever loaded)
     solo = check(tag, n, jobs=1).to_dict()
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", no_pool)
     multi = check(tag, n, jobs=2).to_dict()
     solo.pop("elapsed_s")
     multi.pop("elapsed_s")
     assert multi == solo
+
+
+def test_checks_load_no_process_pool():
+    # sweeps run in the calling process for any jobs, so neither importing
+    # reassign nor running every check with jobs=2 loads multiprocessing;
+    # the name ProcessPoolExecutor still resolves, imported when asked for
+    code = """if True:
+        import sys
+        import reassign, reassign.cli
+        from reassign import verifier
+        pools = ("multiprocessing", "concurrent.futures")
+        assert not any(m in sys.modules for m in pools), "loaded by import"
+        for check in verifier.CHECKS.values():
+            for tag in ("ttc", "csd"):
+                check(tag, 3, jobs=2)
+        assert not any(m in sys.modules for m in pools), "loaded by a check"
+        assert verifier.ProcessPoolExecutor.__name__ == "ProcessPoolExecutor"
+        assert "concurrent.futures" in sys.modules
+        """
+    src = str(Path(verifier.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("outer,inner", [
@@ -1338,8 +1246,8 @@ def test_a_check_inside_another_leaves_both_reports_intact(outer, inner, monkeyp
 
 
 def test_own_position_report_is_the_same_for_any_jobs():
-    # own-position fails at its first profile for ttc and holds after a
-    # fan-out for npb; the sp and ri sweeps ignore jobs
+    # own-position fails at its first profile for ttc and holds for npb;
+    # every sweep ignores jobs
     sweeps = ((check_own_position_invariance, "ttc"), (check_own_position_invariance, "npb"))
     for check, tag in sweeps + TABLE_SWEEPS:
         solo = check(tag, 3, jobs=1).to_dict()
@@ -1379,6 +1287,19 @@ def test_reduced_flag_means_full_space_invariance_n3(tag):
     assert len(profiles) == 216
     assert mismatches == {"ttc": 128, "bttc": 8}.get(tag, 0)
     assert MECHANISMS[tag].reduced == (mismatches == 0)
+
+
+@pytest.mark.parametrize("tag", MECHANISM_TAGS)
+def test_reduced_flag_means_own_last_invariance_sampled(tag):
+    # the reduced fold at n=4..8: 300 seeded full profiles per n each get
+    # their own-last form's outcome for a reduced mechanism; ttc and bttc,
+    # which read own positions, must show a mismatch at every n
+    for n in range(4, 9):
+        rng = random.Random(n)
+        runner = verifier._Runner(MechanismId(tag), n)
+        profiles = [verifier._sample_orders(rng, n, False) for _ in range(300)]
+        mismatches = sum(runner(p) != runner(own_last(p)) for p in profiles)
+        assert (mismatches == 0) == MECHANISMS[tag].reduced, (n, mismatches)
 
 
 REDUCED_MECHANISMS = [MechanismId(tag) for tag in MECHANISM_TAGS if MECHANISMS[tag].reduced] + [
