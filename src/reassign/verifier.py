@@ -41,10 +41,10 @@ gets the same outcome, so one core run fills a whole box of class
 profiles.  A run splits its entry by one divmod into a head, the classes
 of divisions 1 and 2, and a tail, those of the rest, and reads the
 representatives and box runs of each half from tuples the table builds
-once.  Neither fold is assumed: the test
-suite compares the filled table with one core run per profile on every
-space a sweep uses, the own-position check's full-space table among them,
-and checks both folds on samples above.
+once.  Neither fold is assumed: the test suite compares the filled table
+with one core run per profile on every space a sweep uses, the
+own-position check's moved spaces among them, and checks both folds on
+samples above.
 The box fold is not a theorem for tsd: once a group holds three divisions
 (n >= 6, past the sweeps' cap) a division's stage-1 nomination can lie past
 the worker it receives and change the outcome.  Witnesses are built by
@@ -73,11 +73,13 @@ check does only the work its verdict reads:
   filled and widened, each pair of head classes once a check.  The kernel
   of ce, cee, eap and pareto translates a run's codes to envy masks and
   peels all its envy graphs at once with int operations.  own-position
-  sweeps own-last bases, whose moved profiles lie in the full space: its
-  kernel reads their outcomes from a second class table over the full
-  space, filled by outcome boxes as the moves reach it.  Its classes and
-  boxes keep every division's own worker where it is, so no entry a moved
-  profile reads comes from a run of a profile with that own worker
+  sweeps own-last bases.  Moving division j+1's own worker to position q
+  of each of its orders gives a moved space, indexed as the reduced
+  space, so a base's moved profiles are the profiles at its own index in
+  the n(n-1) moved spaces.  Its kernel reads them from one ordinary class
+  table per moved space, filled by outcome boxes as the bases reach them.
+  A moved space fixes every own worker's position, so no entry a moved
+  profile reads comes from a run of a profile with an own worker
   elsewhere, its base among them: the check tests the invariance the folds
   would otherwise assume.  The check's fault function builds the witness
   from direct runs.
@@ -103,9 +105,12 @@ prefers j's worker to its own, has a cycle (Abraham, Cechlárová, Manlove and
 Mehlhorn, "Pareto optimality in house allocation problems", ISAAC 2004).
 Restricting the edges to trades the class allows gives each oracle, and
 ``cee_set`` keeps the derangements the cee oracle passes.  The graph is a
-set of int bitmasks, one per division, and the cycle test peels them.  The
-witness of a failing cee check, the first dominating derangement, is built
-by the same matching search, so it has no size cap either.
+set of int bitmasks, one per division, and the cycle test peels them.  An
+assignment outside its class has no such graph: eap refuses an infeasible
+one outright, and cee asks of a non-derangement whether any derangement
+dominates it, by the matching search that also builds the witness of a
+failing cee check, the first dominating derangement; neither has a size
+cap.
 """
 
 from __future__ import annotations
@@ -237,28 +242,14 @@ def _mapping_of(assignment) -> tuple[int, ...]:
 def _dominated(orders, m, allowed) -> bool:
     """True iff another assignment, each of whose pairs (division i, worker w)
     passes ``allowed(i, w)`` (every pair when ``allowed`` is None), is weakly
-    better than ``m`` for every division.
+    better than ``m`` for every division.  Every pair of ``m`` must pass.
 
     Such an assignment is ``m`` with some divisions trading along the edges
     of its envy graph: an edge from i to j when i strictly prefers j's worker
     to its own and may take it.  The graph is one int per division, bit j of
-    ``envy[i]`` set for the edge i -> j.  If every pair of ``m`` passes, ``m``
-    is dominated iff that graph has a cycle.  Otherwise every division
-    holding a forbidden worker must trade, so the trades are disjoint cycles
-    covering those divisions: a perfect matching of divisions to the workers
-    of ``m`` in which only the other divisions may keep their own.
+    ``envy[i]`` set for the edge i -> j, and ``m`` is dominated iff it has a
+    cycle.
     """
-    stuck = [] if allowed is None else [i for i, own in enumerate(m) if not allowed(i + 1, own)]
-    if stuck:
-        holder = {w: j for j, w in enumerate(m)}
-        adj, taker = [], {}  # taker: j -> the division that takes the worker m[j]
-        for i, (o, own) in enumerate(zip(orders, m)):
-            e = [holder[w] for w in o[: o.index(own)] if allowed(i + 1, w)]
-            if i not in stuck:  # it may keep its worker, and starts out doing so
-                e.append(i)
-                taker[i] = i
-            adj.append(e)
-        return all(_augment(adj, taker, s) for s in stuck)
     bit = [0] * (len(m) + 1)  # bit[w]: the bit of the division holding worker w
     for j, w in enumerate(m):
         bit[w] = 1 << j
@@ -345,7 +336,10 @@ def _first_dominating_derangement(orders, m):
 
 def is_ce_efficient(profile, mapping) -> bool:
     """True iff no derangement Pareto-dominates the given assignment."""
-    return not _dominated(_orders_of(profile), _mapping_of(mapping), operator.ne)
+    orders, m = _orders_of(profile), _mapping_of(mapping)
+    if not is_derangement(m):
+        return _first_dominating_derangement(orders, m) is None
+    return not _dominated(orders, m, operator.ne)
 
 
 def cee_set(profile) -> list[tuple[int, ...]]:
@@ -458,12 +452,23 @@ def certify_ri_violation(base, improved, i: int, outcome_base, outcome_improved)
 
 
 class _ProfileSpace:
-    """Indexable space of profiles: per division a list of full orders."""
+    """Indexable space of profiles: per division a list of full orders.
 
-    def __init__(self, n: int, reduced: bool):
+    A moved space, ``moved`` = (j, q), is the reduced space with division
+    j+1's own worker moved to position q of each of its orders.  Its order
+    number d is the move of the reduced order number d, and the move keeps
+    the orders sorted, so profile idx of a moved space is the reduced
+    profile idx with that one move."""
+
+    def __init__(self, n: int, reduced: bool, moved=None):
         self.n = n
         self.reduced = reduced
-        if reduced:
+        if moved is not None:
+            j, q = moved
+            orders = list(_space(n, True).orders)
+            orders[j] = tuple(o[:q] + o[-1:] + o[q:-1] for o in orders[j])
+            self.orders = tuple(orders)
+        elif reduced:
             self.orders = tuple(
                 tuple(o + (i,) for o in all_orders_excluding(n, i))
                 for i in range(1, n + 1)
@@ -478,10 +483,15 @@ class _ProfileSpace:
         self.pows = tuple(self.radix ** (n - 1 - j) for j in range(n))
         # the sweeps' unit: a block of profiles that share their first two orders
         self.block = self.radix ** max(0, n - 2)
-        self.order_index = tuple(
-            {o: k for k, o in enumerate(lst)} for lst in self.orders
-        )
-        self.rank_maps = tuple(
+
+    # read by the sp and ri scans only
+    @cached_property
+    def order_index(self):
+        return tuple({o: k for k, o in enumerate(lst)} for lst in self.orders)
+
+    @cached_property
+    def rank_maps(self):
+        return tuple(
             tuple({w: r for r, w in enumerate(o)} for o in lst) for lst in self.orders
         )
 
@@ -497,8 +507,8 @@ class _ProfileSpace:
 
 
 @lru_cache(maxsize=None)
-def _space(n: int, reduced: bool) -> _ProfileSpace:
-    return _ProfileSpace(n, reduced)
+def _space(n: int, reduced: bool, moved=None) -> _ProfileSpace:
+    return _ProfileSpace(n, reduced, moved)
 
 
 @lru_cache(maxsize=None)
@@ -715,58 +725,54 @@ def _ri_scan(space: _ProfileSpace, table, lo, hi):
 
 
 @lru_cache(maxsize=None)
-def _order_classes(space: _ProfileSpace, tag: str, partition, own_apart=False):
+def _order_classes(space: _ProfileSpace, tag: str, partition):
     """The classes of each division's orders that the mechanism cannot tell
     apart: orders whose registry ``reads`` keys are equal, or one class per
-    order for a mechanism without that field.  Returns (cls, reps, boxes).
-    cls[j][d] is the class of division j+1's order number d and reps[j][c]
-    the first order of class c, so each reps[j] is sorted.
+    order for a mechanism without that field.  Returns (cls, reps, boxes,
+    weights).  cls[j][d] is the class of division j+1's order number d and
+    reps[j][c] the first order of class c, so each reps[j] is sorted.
 
     The class table numbers class profiles as the space numbers profiles, by
     their class digits, and ``_widen`` turns its entries into one byte per
-    profile through cls.  boxes[j][c][w] is the run (length, start, step)
-    of table offsets of division j+1's digit over the classes whose
-    representative agrees with reps[j][c] down to worker w: sorted
-    representatives that share a prefix are consecutive.  boxes[j][c] is
-    indexed by worker, so entry 0 is None.
+    profile through cls.  weights[j] is the table offset of one class of
+    division j+1, the product of the later divisions' class counts.
+    boxes[j][c][w] is the run (length, start, step) of table offsets of
+    division j+1's digit over the classes whose representative agrees with
+    reps[j][c] down to worker w: sorted representatives that share a prefix
+    are consecutive.  boxes[j][c] is indexed by worker, so entry 0 is None.
+    Each division's part comes from ``_division_classes``, so spaces that
+    give a division the same orders share it."""
+    parts, wt = [], 1
+    for i in range(space.n, 0, -1):
+        cls, reps, rows = _division_classes(i, space.orders[i - 1], tag, partition, wt)
+        parts.append((cls, reps, rows, wt))
+        wt *= len(reps)
+    return tuple(zip(*reversed(parts)))
 
-    With ``own_apart`` a class also keeps the position of the division's
-    own worker, classes are numbered by that position first, and a box
-    holds only the classes whose own worker sits where reps[j][c] has it.
-    So no box holds two profiles that rank an own worker at different
-    positions, and a table filled by these boxes never equates a profile
-    with one whose own worker moved: the own-position check's table."""
+
+@lru_cache(maxsize=None)
+def _division_classes(i, orders, tag, partition, wt):
+    """Division i's (cls, reps, box rows) over ``orders`` for
+    ``_order_classes``, one class weighing ``wt`` in a table entry."""
     reads = mechanism_entry(tag).reads
-    cls, reps = [], []
-    for i, orders in enumerate(space.orders, start=1):
-        keys = [o if reads is None else reads(i, o, partition) for o in orders]
-        if own_apart:
-            keys = [(key, o.index(i)) for key, o in zip(keys, orders)]
-        first = {}  # key -> the first order that has it
-        for key, o in zip(keys, orders):
-            first.setdefault(key, o)
-        if own_apart:  # stable: orders stay sorted within an own position
-            first = dict(sorted(first.items(), key=lambda item: item[1].index(i)))
-        number = {key: c for c, key in enumerate(first)}
-        cls.append(tuple(map(number.__getitem__, keys)))
-        reps.append(tuple(first.values()))
-    weights = [math.prod(map(len, reps[j + 1 :])) for j in range(space.n)]
-    boxes = []
-    for i, (rs, wt) in enumerate(zip(reps, weights), start=1):
-        heads = [(r.index(i) if own_apart else None, r) for r in rs]
-        span = {}  # (own position or None, prefix) -> (first class, last class + 1) that has it
-        for c, (g, r) in enumerate(heads):
-            for k in range(1, len(r) + 1):
-                span[g, r[:k]] = (span.get((g, r[:k]), (c,))[0], c + 1)
-        rows = []
-        for g, r in heads:
-            row = [None] * (len(r) + 1)  # indexed by worker
-            for k, w in enumerate(r):
-                first, last = span[g, r[: k + 1]]
-                row[w] = (last - first, first * wt, wt)
-            rows.append(tuple(row))
-        boxes.append(tuple(rows))
-    return tuple(cls), tuple(reps), tuple(boxes)
+    keys = [o if reads is None else reads(i, o, partition) for o in orders]
+    first = {}  # key -> the first order that has it
+    for key, o in zip(keys, orders):
+        first.setdefault(key, o)
+    number = {key: c for c, key in enumerate(first)}
+    reps = tuple(first.values())
+    span = {}  # prefix -> (first class, last class + 1) that has it
+    for c, r in enumerate(reps):
+        for k in range(1, len(r) + 1):
+            span[r[:k]] = (span.get(r[:k], (c,))[0], c + 1)
+    rows = []
+    for r in reps:
+        row = [None] * (len(r) + 1)  # indexed by worker
+        for k, w in enumerate(r):
+            lo, hi = span[r[: k + 1]]
+            row[w] = (hi - lo, lo * wt, wt)
+        rows.append(tuple(row))
+    return tuple(map(number.__getitem__, keys)), reps, tuple(rows)
 
 
 class _ClassTable:
@@ -783,16 +789,16 @@ class _ClassTable:
     holds the head and tail entry offsets of a profile's order digits, split
     as blocks split the space: block b's head entry is at[0][b].
 
-    One table serves one check, which hands it to its scans as an argument,
-    and holds what the check needs of it: the decode tables, built with the
-    table, the offsets, built on first read, and in ``wide`` each block of
+    A table serves one check (the own-position check keeps one more per
+    moved space), which hands it to its scans as an argument, and holds
+    what the check needs of it: the decode tables and offsets, built with
+    the table, ``at``, built on first read, and in ``wide`` each block of
     head entries once widened."""
 
-    def __init__(self, runner: _Runner, space: _ProfileSpace, own_apart=False):
+    def __init__(self, runner: _Runner, space: _ProfileSpace):
         self.runner, self.space = runner, space
-        classes = _order_classes(space, runner.mid.tag, runner.partition, own_apart)
-        self.cls, self.reps, self.boxes = classes
-        self.weights = [math.prod(map(len, self.reps[j + 1 :])) for j in range(space.n)]
+        classes = _order_classes(space, runner.mid.tag, runner.partition)
+        self.cls, self.reps, self.boxes, self.weights = classes
         self.offsets = [[c * wt for c in cs] for cs, wt in zip(self.cls, self.weights)]
         h = min(2, space.n)
         self.head, self.tail, self.head_boxes, self.tail_boxes = (
@@ -1032,43 +1038,31 @@ def _own_position_kernel(space: _ProfileSpace, runner: _Runner):
     reduced space.
 
     A base profile's moved profiles, one division's own worker moved to
-    another position, lie in the full space, so the kernel keeps a second
-    class table over the full space, with classes and boxes that keep every
-    own worker's position (``own_apart``).  It is filled one unfilled entry
-    at a time as a moved profile reads it, so a moved profile's outcome
-    comes from a run of a profile that ranks every own worker where it
-    does, never from its base's box: the check does not assume the
-    invariance it tests.  The kernel compares each base's code with the
-    entries of its moved profiles.  at[j][d] is the full-space table offset
-    of division j+1's reduced order number d, and moves[j][d] the
-    differences to the offsets of that order with its own worker at each
-    other position.  The returned ``first(codes, b)`` takes the codes of a
-    run of blocks from block b on and gives the offset of the run's first
-    base with a moved profile of another outcome, or None.
+    another position, are the profiles at the base's own index in the
+    n(n-1) moved spaces ``_space(n, True, (j, q))``.  Each has its own class
+    table, filled one unfilled entry at a time as a base reads it, base by
+    base, then division by division and position by position.  A moved
+    space fixes every own worker's position, so no box of its table holds a
+    profile with an own worker elsewhere, its base among them: a moved
+    profile's outcome comes from a run that ranks the own workers as it
+    does, and the check does not assume the invariance it tests.  The
+    returned ``first(codes, b)`` takes the codes of a run of blocks from
+    block b on and gives the offset of the run's first base with a moved
+    profile of another outcome, or None.
     """
-    n, full = space.n, _space(space.n, False)
-    table = _ClassTable(runner, full, own_apart=True)
-    entries, at, moves = table.codes, [], []
-    for j, orders in enumerate(space.orders):
-        offset = dict(zip(full.orders[j], table.offsets[j]))
-        at.append([offset[o] for o in orders])
-        moves.append([
-            tuple(offset[o[:q] + o[-1:] + o[q:-1]] - offset[o] for q in range(n - 1)) for o in orders
-        ])
-
-    inner = tuple(itertools.product(range(space.radix), repeat=max(0, n - 2)))  # in block order
+    n, block = space.n, space.block
+    tables = [_ClassTable(runner, _space(n, True, (j, q))) for j in range(n) for q in range(n - 1)]
+    reads = [(*t.at, t.codes, t.fill) for t in tables]
 
     def first(codes, b):
-        heads = [space.digits_of(x * space.block)[:2] for x in range(b, b + len(codes) // space.block)]
-        for k, digits in enumerate(h + t for h in heads for t in inner):
-            base = sum(map(list.__getitem__, at, digits))
-            for j, d in enumerate(digits):
-                for e in moves[j][d]:
-                    e += base
-                    if entries[e] == 0xFF:
-                        table.fill(e, e + 1)
-                    if entries[e] != codes[k]:
-                        return k
+        for k, code in enumerate(codes):
+            hi, lo = divmod(b * block + k, block)
+            for heads, tails, entries, fill in reads:
+                e = heads[hi] + tails[lo]
+                if entries[e] == 0xFF:
+                    fill(e, e + 1)
+                if entries[e] != code:
+                    return k
         return None
 
     return first
@@ -1448,17 +1442,16 @@ def check_own_position_invariance(
 
     Samples draw full profiles and run every moved profile directly.  The
     exhaustive sweep starts from own-last profiles and reads the outcomes of
-    their moved profiles from a full-space class table filled by outcome
-    boxes (``_own_position_kernel``) whose classes and boxes keep each own
-    worker's position, so a moved profile's outcome comes from a run that
-    ranks the own workers as it does, never from its base; the sweep relies
-    on the ``reads`` and box folds within one placement of the own workers,
-    which the test suite checks against direct runs at every n the sweep
-    allows.  A faulting base's witness is built from direct runs.  Either
-    way one division's own worker moves at a time, so a pass does not show
-    that own-last sweeps equal full-space ones: ``bttc`` passes at n=3 and
-    n=4, yet ((1,2,3),(2,1,3),(3,1,2)) has another outcome than its
-    own-last form ((2,3,1),(1,3,2),(1,2,3)).
+    their moved profiles from the class tables of the moved spaces, one per
+    division and own position (``_own_position_kernel``), so a moved
+    profile's outcome comes from a run that ranks the own workers as it
+    does, never from its base; the sweep relies on the ``reads`` and box
+    folds within a moved space, which the test suite checks against direct
+    runs at every n the sweep allows.  A faulting base's witness is built
+    from direct runs.  Either way one division's own worker moves at a
+    time, so a pass does not show that own-last sweeps equal full-space
+    ones: ``bttc`` passes at n=3 and n=4, yet ((1,2,3),(2,1,3),(3,1,2))
+    has another outcome than its own-last form ((2,3,1),(1,3,2),(1,2,3)).
     """
     return _profile_check(
         "own-position", _own_position_fault, mechanism, n, scope, partition, priority, jobs,

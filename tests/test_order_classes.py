@@ -546,19 +546,19 @@ def twin_entry(table, idx):
     return table.codes[e]
 
 
-def assert_fills_as_twin(runs, runner, space, picks=None, own_apart=False):
+def assert_fills_as_twin(runs, runner, space, picks=None):
     """Fill a fresh table by ``fill`` and another by ``twin_fill``: whole,
     or one entry at a time as profiles ``picks`` are read, in that order.
     The codes read, the tables and the core runs, in order, must agree."""
     out = []
     for fill, read in ((verifier._ClassTable.fill, verifier._ClassTable.__getitem__), (twin_fill, twin_entry)):
-        table = verifier._ClassTable(runner, space, own_apart)
+        table = verifier._ClassTable(runner, space)
         runs.clear()
         if picks is None:
             fill(table, 0, len(table.codes))
         got = None if picks is None else [read(table, idx) for idx in picks]
         out.append((got, bytes(table.codes), list(runs)))
-    assert out[0] == out[1], (runner.label(), space.reduced, own_apart)
+    assert out[0] == out[1], (runner.label(), space.reduced, space.orders)
     assert out[0][2], "no core ran"
 
 
@@ -574,54 +574,57 @@ def test_fill_runs_the_cores_and_writes_the_codes_of_its_twin(n, monkeypatch):
                 assert runner.mid.tag == "npb" and n < 3
 
 
+def moved_spaces(n):
+    """The own-position kernel's spaces, which keep every own worker apart:
+    the reduced space with one division's own worker moved, in the order the
+    kernel reads them."""
+    return [verifier._space(n, True, (j, q)) for j in range(n) for q in range(n - 1)]
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_own_apart_fill_runs_as_its_twin(n, monkeypatch):
-    # the own-position kernel's full-space tables; at n=4 the tags whose
-    # tables fold, the whole-order ones taking seconds each
+    # the own-position kernel's tables, one per moved space, every tag
     runs = counting_runs(monkeypatch)
-    tags = ALL_TAGS if n < 4 else ("ttc",) + POOL_TAGS
-    for tag in tags:
+    for tag in ALL_TAGS:
         if tag == "npb" and n < 3:  # npb needs three divisions
             continue
-        assert_fills_as_twin(runs, verifier._Runner(MechanismId(tag), n), verifier._space(n, False), own_apart=True)
+        for space in moved_spaces(n):
+            assert_fills_as_twin(runs, verifier._Runner(MechanismId(tag), n), space)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_one_entry_fills_in_random_order_run_as_the_twin(n, monkeypatch):
     # entries read one at a time at random profiles, as the sp and ri probe
     # and the own-position kernel read them: every profile at n <= 3, a
-    # sample of 3,000 at n=4
+    # sample of 3,000 at n=4, in both spaces and every moved space
     runs, rng = counting_runs(monkeypatch), random.Random(n)
     for runner in twin_runners(n):
-        for reduced, own_apart in ((False, False), (True, False), (False, True)):
-            space = verifier._space(n, reduced)
+        for space in [verifier._space(n, False), verifier._space(n, True)] + moved_spaces(n):
             picks = list(range(space.size))
             rng.shuffle(picks)
             try:
-                assert_fills_as_twin(runs, runner, space, picks[:3000], own_apart)
+                assert_fills_as_twin(runs, runner, space, picks[:3000])
             except Infeasible:  # npb needs three divisions
                 assert runner.mid.tag == "npb" and n < 3
 
 
-# -- the own-position kernel's full-space table against direct runs -----------------
-
-
-def full_index(space, orders):
-    """The index of a profile of the full space."""
-    return sum(space.order_index[j][o] * space.pows[j] for j, o in enumerate(orders))
+# -- the own-position kernel's moved-space tables against direct runs --------------
 
 
 def moved_entry_mismatches(runner, n):
-    """Fill a full-space class table of the kernel's classes entry by entry,
-    as the kernel does, for every moved profile of every own-last base in
-    turn, and count the moved profiles whose entry differs from their
-    direct run.  Also drive the kernel over every block with each base's
-    direct outcome, as a sweep does but past any fault, and count the
-    blocks where it flags another base than the first whose direct moved
-    outcomes differ from its own.  Returns (moved profiles read,
-    mismatches)."""
-    space, full = verifier._space(n, True), verifier._space(n, False)
-    table = verifier._ClassTable(runner, full, own_apart=True)
+    """Fill the class table of every moved space entry by entry, as the
+    kernel does, for every moved profile of every own-last base in turn, and
+    count the moved profiles whose entry differs from their direct run.
+    Each moved profile must be the profile at its base's index in its moved
+    space.  Also drive the kernel over every block with each base's direct
+    outcome, as a sweep does but past any fault, and count the blocks where
+    it flags another base than the first whose direct moved outcomes differ
+    from its own.  Returns (moved profiles read, mismatches)."""
+    space = verifier._space(n, True)
+    tables = {
+        (j, q): verifier._ClassTable(runner, verifier._space(n, True, (j, q)))
+        for j in range(n) for q in range(n - 1)
+    }
     code = verifier._perm_codes(n)[1]
     direct = reference_table(runner, space)
     blocks = space.size // space.block
@@ -634,11 +637,12 @@ def moved_entry_mismatches(runner, n):
         for j, o in enumerate(orders):
             for q in range(n - 1):
                 moved = orders[:j] + (o[:q] + o[-1:] + o[q:-1],) + orders[j + 1 :]
+                assert tables[j, q].space.profile_at(idx) == moved
                 c = code[runner(moved)]
                 if c != direct[idx] and expected[b] is None:
                     expected[b] = k
                 read += 1
-                mismatches += table[full_index(full, moved)] != c
+                mismatches += tables[j, q][idx] != c
     return read, mismatches + sum(map(operator.ne, flags, expected))
 
 
@@ -653,9 +657,8 @@ def assert_moved_entries_are_exact(runner, n):
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_own_position_kernel_reads_direct_outcomes(tag, n):
-    # every tag, npb included from n=3 on: the moved profiles of every
-    # own-last base lie in the full space, and every entry the kernel read
-    # there holds the moved profile's own outcome
+    # every tag, npb included from n=3 on: every entry the kernel read for
+    # a moved profile of an own-last base holds that profile's own outcome
     assert_moved_entries_are_exact(verifier._Runner(MechanismId(tag), n), n)
 
 
@@ -679,16 +682,25 @@ def test_own_position_kernel_under_mechanism_options(n):
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
-def test_full_space_box_table_equals_one_run_per_profile_n3(tag):
-    # the whole full-space table of the kernel's classes, each tag at n=3.
-    # At n=4 the same twin found no mismatch for any tag (1-9 s a tag, too
-    # slow for this suite; BENCH_own_position.json)
-    runner, full = verifier._Runner(MechanismId(tag), 3), verifier._space(3, False)
-    try:
-        expected = reference_table(runner, full)
-    except Infeasible:  # npb needs three divisions
-        return
-    table = verifier._ClassTable(runner, full, own_apart=True)
-    table.fill(0, len(table.codes))
-    assert 0xFF not in table.codes
-    assert bytes(map(table.__getitem__, range(full.size))) == expected
+def test_moved_space_tables_equal_one_run_per_profile(tag):
+    # every moved space's whole table at every n <= 4, 84 tables at n=4
+    for n in (2, 3, 4):
+        if tag == "npb" and n < 3:  # npb needs three divisions
+            continue
+        runner = verifier._Runner(MechanismId(tag), n)
+        for space in moved_spaces(n):
+            table = verifier._ClassTable(runner, space)
+            table.fill(0, len(table.codes))
+            assert 0xFF not in table.codes
+            got = bytes(map(table.__getitem__, range(space.size)))
+            assert got == reference_table(runner, space), (tag, space.orders)
+
+
+def test_own_position_sweep_builds_no_full_space(monkeypatch):
+    # the moved profiles are read from moved spaces, never from the full space
+    built = []
+    space = verifier._space
+    monkeypatch.setattr(verifier, "_space", lambda *args: built.append(args) or space(*args))
+    for tag in ALL_TAGS:
+        verifier.check_own_position_invariance(tag, 4)
+    assert built and all(args[1] for args in built)

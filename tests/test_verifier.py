@@ -237,7 +237,9 @@ def test_pareto_efficient_past_the_enumeration_bound():
     assert pareto_efficient(p, ttc.mapping)
 
 
-# Slow twin of the bitmask envy graph: the same test over envy lists and sets.
+# Slow twin of the bitmask envy graph: the same test over envy lists and sets,
+# and, for an assignment outside the class, a matching search, the twin of
+# cee's answer on a non-derangement.
 
 
 def list_dominated(orders, m, allowed):
@@ -283,7 +285,8 @@ LARGE_PARTITION_SIZES = {
 )
 def test_bitmask_envy_graph_matches_lists(case):
     # all three forms of ``allowed``, on a random assignment and on the ttc
-    # outcome (which no assignment dominates)
+    # outcome (which no assignment dominates), wherever the assignment lies
+    # in the form's class; outside it, cee's oracle against the matching
     orders, m = case
     n = len(m)
     ttc = run_mechanism("ttc", Problem(profile=PreferenceProfile(orders))).mapping
@@ -295,8 +298,11 @@ def test_bitmask_envy_graph_matches_lists(case):
         forms.append((eap, eap))
     for fast, slow in forms:
         for a in (m, ttc):
-            assert verifier._dominated(orders, a, fast) == list_dominated(orders, a, slow)
+            if all(slow(i, w) for i, w in enumerate(a, start=1)):
+                assert verifier._dominated(orders, a, fast) == list_dominated(orders, a, slow)
     assert not verifier._dominated(orders, ttc, None)
+    for a in (m, ttc):
+        assert is_ce_efficient(orders, a) == (not list_dominated(orders, a, operator.ne))
 
 
 # Slow twin of the cee witness: the first dominating derangement by
@@ -1031,7 +1037,7 @@ SD_ORDER = MechanismId("sd", order=(2, 4, 1, 3))
     ids=str,
 )
 def test_own_position_block_scan_matches_streamed_sweep(mid, binding):
-    # the own-position kernel reads a full-space table bound to the
+    # the own-position kernel reads moved-space tables bound to the
     # partition, the priority and sd's order
     assert_block_scan_matches_streamed_sweep("own-position", mid, 4, OWN_POSITION_BINDINGS[binding])
 
